@@ -39,6 +39,21 @@ def test_markdown_docs_reference_existing_paths():
     assert checker.missing_references(REPO_ROOT) == []
 
 
+def test_bare_module_name_reported_with_path_hint(tmp_path):
+    """A bare ``*.py`` name resolves against the root only; the full path resolves."""
+    checker = _load_check_doc_refs()
+    for doc_name in checker.DOC_FILES:
+        (tmp_path / doc_name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / doc_name).write_text("nothing referenced\n")
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "foo.py").write_text("")
+    (tmp_path / "ROADMAP.md").write_text("Trim `foo.py`, see `src/pkg/foo.py`.\n")
+
+    assert checker.missing_references(tmp_path) == [
+        "ROADMAP.md: foo.py (did you mean src/pkg/foo.py?)"
+    ]
+
+
 def _missing_docstrings(path: Path) -> list[str]:
     tree = ast.parse(path.read_text())
     missing: list[str] = []

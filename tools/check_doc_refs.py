@@ -1,10 +1,14 @@
 """Docs lint: every repo path referenced in the markdown docs must exist.
 
 Scans the top-level markdown files plus ``docs/`` for tokens that look like
-repository paths (``src/...``, ``benchmarks/...``, ``docs/...``, top-level
-``*.md``/``*.toml`` files, ...) and fails if any referenced file or directory
-is missing — so renames and deletions cannot silently strand the
-documentation.  Run directly (CI does) or through ``tests/test_docs.py``.
+repository paths (``src/...``, ``benchmarks/...``, ``docs/...``, ...) and fails
+if any referenced file or directory is missing — so renames and deletions
+cannot silently strand the documentation.  Any bare name ending in ``.md``,
+``.toml``, ``.py`` or ``.yml`` is resolved against the repo root, so a module
+must be written with its full path (``src/repro/nn/plan.py``, not
+``plan.py``); when a missing bare name matches exactly one file elsewhere in
+the tree, the report suggests that path.  Run directly (CI does) or through
+``tests/test_docs.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ DOC_FILES = ("README.md", "PAPER.md", "ROADMAP.md", "docs/ARCHITECTURE.md")
 #: top-level prefixes that mark a token as a repo path
 _PREFIXES = ("src/", "tests/", "benchmarks/", "examples/", "docs/", "tools/", ".github/")
 
-#: top-level files referred to by bare name
+#: bare names resolved against the repo root
 _TOP_LEVEL = re.compile(r"^[A-Za-z][\w.-]*\.(?:md|toml|py|yml)$")
 
 _TOKEN = re.compile(r"[\w./-]+")
@@ -43,6 +47,24 @@ def referenced_paths(text: str) -> set[str]:
     return paths
 
 
+def _suggestion(repo_root: Path, path: str) -> str:
+    """A "did you mean" hint when a bare name matches exactly one file in the tree."""
+    if "/" in path:
+        return ""
+    matches = [
+        candidate
+        for candidate in repo_root.rglob(path)
+        if candidate.is_file()
+        and not any(
+            part.startswith(".") or part == "__pycache__"
+            for part in candidate.relative_to(repo_root).parts[:-1]
+        )
+    ]
+    if len(matches) != 1:
+        return ""
+    return f" (did you mean {matches[0].relative_to(repo_root).as_posix()}?)"
+
+
 def missing_references(repo_root: Path = REPO_ROOT) -> list[str]:
     """All dangling doc references, as ``"<doc>: <path>"`` strings."""
     problems: list[str] = []
@@ -53,7 +75,7 @@ def missing_references(repo_root: Path = REPO_ROOT) -> list[str]:
             continue
         for path in sorted(referenced_paths(doc.read_text())):
             if not (repo_root / path).exists():
-                problems.append(f"{doc_name}: {path}")
+                problems.append(f"{doc_name}: {path}{_suggestion(repo_root, path)}")
     return problems
 
 
