@@ -3,9 +3,11 @@
 The paper fine-tunes a pre-trained BERT-base on eight GLUE tasks with AdamW,
 reporting the score after 1, 2 and 3 epochs for each schedule.  This runner
 mirrors that protocol at proxy scale: a :class:`TinyTransformer` encoder is
-(briefly) pre-trained once per seed, then fine-tuned per task with the chosen
-schedule decaying over the full 3-epoch budget, and scores are recorded at
-every epoch boundary.
+(briefly) pre-trained once per seed and label count, then fine-tuned per task
+with the chosen schedule decaying over the full 3-epoch budget, and scores are
+recorded at every epoch boundary.  The pre-trained weights and the task splits
+are built once per process and shared by every cell that needs them
+(:mod:`repro.experiments.memo`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from repro import nn
 from repro.data import DataLoader, GlueTask, SyntheticGlueTask, glue_task_specs
+from repro.experiments.memo import INPUTS
 from repro.models import TinyTransformer, TransformerConfig
 from repro.optim import build_optimizer
 from repro.schedules import build_schedule
@@ -83,7 +86,16 @@ def _build_encoder(config: GlueRunConfig, num_labels: int, seed: int) -> TinyTra
     model_config = TransformerConfig(vocab_size=64, max_seq_len=32, embed_dim=32, num_heads=4, num_layers=2)
     model = TinyTransformer(model_config, num_labels=num_labels, seed=seed)
     if config.pretrain_steps > 0:
-        model.pretrain(steps=config.pretrain_steps, seed=seed)
+
+        def pretrained_weights() -> dict:
+            model.pretrain(steps=config.pretrain_steps, seed=seed)
+            return model.state_dict()
+
+        # num_labels fixes the classifier's shape and, through the shared init
+        # RNG, the mlm_head's draws; the ambient dtype (incl. an emulated
+        # policy) fixes the weights' precision
+        key = ("glue-encoder", num_labels, seed, config.pretrain_steps, nn.dtype_name(None))
+        model.load_state_dict(INPUTS.get(key, pretrained_weights))
     return model
 
 
@@ -94,7 +106,9 @@ def run_glue_task(task: GlueTask, config: GlueRunConfig) -> list[float]:
 
 
 def _run_glue_task(task: GlueTask, config: GlueRunConfig) -> list[float]:
-    train_ds, test_ds = SyntheticGlueTask.splits(task, seed=config.seed)
+    train_ds, test_ds = INPUTS.get(
+        ("glue-splits", task, config.seed), lambda: SyntheticGlueTask.splits(task, seed=config.seed)
+    )
     train_loader = DataLoader(train_ds, batch_size=16, shuffle=True, seed=config.seed)
     eval_loader = DataLoader(test_ds, batch_size=32, shuffle=False, seed=config.seed)
 

@@ -15,6 +15,7 @@ from repro.data import (
     SyntheticSTL10,
 )
 from repro.models import build_model
+from repro.experiments.memo import INPUTS
 from repro.experiments.settings import ExperimentSetting
 from repro.training.tasks import ClassificationTask, DetectionTask, Task, VAETask
 
@@ -52,6 +53,10 @@ def build_workload(
 ) -> Workload:
     """Instantiate the proxy dataset, model and task for a setting.
 
+    The dataset splits depend only on (dataset, seed, size_scale) and are
+    built once per process (:mod:`repro.experiments.memo`); their arrays are
+    read-only.  The model is built fresh for every call.
+
     The GLUE setting is multi-task and handled by
     :mod:`repro.experiments.glue_runner` instead of this function.
     """
@@ -61,7 +66,10 @@ def build_workload(
         raise KeyError(f"unknown dataset {setting.dataset!r} for setting {setting.name!r}")
 
     dataset_cls = _DATASET_FACTORIES[setting.dataset]
-    train_ds, test_ds = dataset_cls.splits(seed=seed, size_scale=size_scale)
+    train_ds, test_ds = INPUTS.get(
+        ("dataset", setting.dataset, seed, size_scale),
+        lambda: dataset_cls.splits(seed=seed, size_scale=size_scale),
+    )
     train_loader = DataLoader(train_ds, batch_size=setting.batch_size, shuffle=True, seed=seed)
     eval_loader = DataLoader(test_ds, batch_size=setting.batch_size, shuffle=False, seed=seed)
 

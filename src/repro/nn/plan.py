@@ -115,6 +115,14 @@ def _next_generation() -> int:
     return _GENERATION
 
 
+def _released_backward() -> None:
+    """The closure a finished plan step leaves on each of its interior nodes."""
+    raise RuntimeError(
+        "backward through the graph of a finished plan step; run forward and "
+        "backward inside one plan.step() scope"
+    )
+
+
 def get_active() -> "GraphPlan | None":
     """The plan currently activated by a ``plan.step()`` scope, if any."""
     return ACTIVE
@@ -344,6 +352,14 @@ class GraphPlan:
                 _passes_mod.compile_step(self)
         if self._diverged:
             self.diverged_steps += 1
+        # Each op's closure captures its output, so a finished step's graph
+        # is a web of reference cycles only the cyclic collector would free,
+        # holding the step's non-arena arrays (batches, masks) until it runs.
+        # Releasing the closures lets refcounting free the graph as soon as
+        # the next step drops it; backward through it afterwards raises.
+        for node in self._nodes:
+            if node._prev:
+                node._backward = _released_backward
 
     def _note_divergence(self) -> None:
         self._diverged = True

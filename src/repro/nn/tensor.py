@@ -107,6 +107,26 @@ def _as_array(data: object, dtype: np.dtype | None = None) -> np.ndarray:
 # structural property rather than a test-enforced hope.
 # ---------------------------------------------------------------------------
 
+def _no_backward() -> None:
+    return None
+
+
+def _basic_view_index(index: object) -> tuple | None:
+    """``index`` as a tuple that always yields a view, or ``None`` if it is not basic.
+
+    Basic indices are ints, slices, ``None`` and ``Ellipsis``; anything else
+    (arrays, lists, booleans) is advanced indexing.  A trailing ``Ellipsis``
+    makes a full integer index return a 0-d view instead of a scalar copy.
+    """
+    items = index if isinstance(index, tuple) else (index,)
+    for item in items:
+        if isinstance(item, (bool, np.bool_)) or not (
+            isinstance(item, (int, np.integer, slice)) or item is None or item is Ellipsis
+        ):
+            return None
+    return items if any(item is Ellipsis for item in items) else (*items, Ellipsis)
+
+
 def _ew(ufunc: np.ufunc, a: np.ndarray, b: np.ndarray, kinds: str = "fi") -> np.ndarray:
     """``ufunc(a, b)`` staged through the arena when dtypes are homogeneous."""
     plan = _plan.ACTIVE
@@ -163,7 +183,7 @@ class Tensor:
         "data",
         "grad",
         "requires_grad",
-        "_backward",
+        "_bw",
         "_prev",
         "name",
         "seed_dim",
@@ -233,7 +253,7 @@ class Tensor:
                 self.data = _as_array(data)
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self.grad: np.ndarray | None = None
-        self._backward: Callable[[], None] = lambda: None
+        self._bw: Callable[[], None] = _no_backward
         self._prev: tuple[Tensor, ...] = _prev if _GRAD_ENABLED else ()
         self.name = name
         # Plan bookkeeping: which generation (if any) indexed this tensor
@@ -252,6 +272,20 @@ class Tensor:
             plan = _plan.ACTIVE
             if plan is not None:
                 plan.register(self, self._prev)
+
+    @property
+    def _backward(self) -> Callable[[], None]:
+        """The op's backward closure (a no-op for leaves)."""
+        return self._bw
+
+    @_backward.setter
+    def _backward(self, fn: Callable[[], None]) -> None:
+        # An output that needs no gradient (every result under no_grad) never
+        # runs its closure, and keeping it would tie the tensor into a
+        # reference cycle (the closure captures the tensor) that only the
+        # cyclic collector frees; dropping it frees the graph by refcount.
+        if self.requires_grad:
+            self._bw = fn
 
     # -- construction helpers ----------------------------------------------
     @staticmethod
@@ -885,6 +919,7 @@ class Tensor:
 
     def __getitem__(self, index: object) -> "Tensor":
         out = Tensor(self.data[index], requires_grad=self.requires_grad, _prev=(self,))
+        view_index = _basic_view_index(index)
 
         def _backward() -> None:
             if out.grad is None or not self.requires_grad:
@@ -895,7 +930,14 @@ class Tensor:
                 grad.fill(0)
             else:
                 grad = np.zeros_like(self.data)
-            np.add.at(grad, index, out.grad)
+            if view_index is not None:
+                # a basic index selects each element at most once, so adding
+                # into the zeroed view computes add.at's 0 + g without its
+                # per-element dispatch
+                view = grad[view_index]
+                np.add(view, out.grad, out=view)
+            else:
+                np.add.at(grad, index, out.grad)
             self._accumulate(grad, own=True)
 
         out._backward = _backward

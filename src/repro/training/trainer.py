@@ -190,6 +190,8 @@ class Trainer:
 
         batches = self._batches()
         for step in range(total_steps):
+            # metrics of an epoch evaluation run after this step, if any
+            step_eval: dict[str, float] | None = None
             if self.schedule is not None:
                 lr = self.schedule.step()
             else:
@@ -217,7 +219,7 @@ class Trainer:
 
             end_of_epoch = (step + 1) % steps_per_epoch == 0
             if end_of_epoch and epoch_eval:
-                metrics = self._evaluate()
+                metrics = step_eval = self._evaluate()
                 self.history.record_eval(step, metrics)
                 epoch_idx = (step + 1) // steps_per_epoch - 1
                 if isinstance(self.schedule, DecayOnPlateauSchedule) and metrics:
@@ -231,7 +233,12 @@ class Trainer:
             if self._stop_requested():
                 break
 
-        final_metrics = self._evaluate()
+        if step_eval is not None and not self.callbacks:
+            # the last step's epoch evaluation saw the final model; a callback
+            # may change the model at an epoch end, so it forces a fresh one
+            final_metrics = step_eval
+        else:
+            final_metrics = self._evaluate()
         self.history.final_metrics = final_metrics
         for cb in self.callbacks:
             cb.on_train_end(self, final_metrics)

@@ -17,6 +17,9 @@ import numpy as np
 
 __all__ = ["RunRecord", "RunStore"]
 
+#: RunRecord fields compared by plain equality, which ``RunStore.filter`` buckets on
+_BUCKET_FIELDS = ("setting", "optimizer", "schedule")
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -75,13 +78,18 @@ class RunStore:
 
     def __init__(self, records: Iterable[RunRecord] | None = None) -> None:
         self._records: list[RunRecord] = list(records or [])
+        # filter's buckets: (indexed field names) -> (their values) -> records
+        # in store order; built on first use, dropped whenever records change
+        self._buckets: dict[tuple[str, ...], dict[tuple, list[RunRecord]]] = {}
 
     # -- container protocol -------------------------------------------------
     def add(self, record: RunRecord) -> None:
         self._records.append(record)
+        self._buckets.clear()
 
     def extend(self, records: Iterable[RunRecord]) -> None:
         self._records.extend(records)
+        self._buckets.clear()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -96,8 +104,22 @@ class RunStore:
     def filter(self, **criteria: Any) -> "RunStore":
         """Return a sub-store of records whose attributes match ``criteria``.
 
-        Values may be scalars or lists/sets of acceptable values.
+        Values may be scalars or lists/sets of acceptable values.  Float
+        criteria match within 1e-9.  Plain-string criteria on the
+        exact-match fields (``setting``, ``optimizer``, ``schedule``) select a
+        bucket of records first, so a table builder's per-cell lookups do not
+        rescan the whole store; the result and its order are those of a scan.
         """
+        fields = tuple(f for f in _BUCKET_FIELDS if isinstance(criteria.get(f), str))
+        candidates: list[RunRecord] = self._records
+        if fields:
+            buckets = self._buckets.get(fields)
+            if buckets is None:
+                buckets = self._buckets[fields] = {}
+                for rec in self._records:
+                    buckets.setdefault(tuple(getattr(rec, f) for f in fields), []).append(rec)
+            candidates = buckets.get(tuple(criteria[f] for f in fields), [])
+
         def matches(rec: RunRecord) -> bool:
             for key, want in criteria.items():
                 have = getattr(rec, key)
@@ -111,7 +133,7 @@ class RunStore:
                     return False
             return True
 
-        return RunStore(r for r in self._records if matches(r))
+        return RunStore(r for r in candidates if matches(r))
 
     def where(self, predicate: Callable[[RunRecord], bool]) -> "RunStore":
         return RunStore(r for r in self._records if predicate(r))

@@ -424,3 +424,52 @@ def test_engine_plan_env_scope_restores(monkeypatch):
     assert os.environ["REPRO_PLAN"] == "1"
     with _plan_env(None):
         assert os.environ["REPRO_PLAN"] == "1"
+
+
+# ---------------------------------------------------------------------------
+# graph lifetime: freed by refcount, not by the cyclic collector
+# ---------------------------------------------------------------------------
+
+def test_finished_step_graph_is_freed_without_the_cycle_collector():
+    import gc
+    import weakref
+
+    model = nn.Linear(6, 3)
+    optimizer = SGD(model.parameters(), lr=0.1)
+    plan = GraphPlan()
+    x = np.random.default_rng(0).standard_normal((4, 6))
+    refs = []
+    gc.disable()
+    try:
+        for _ in range(3):
+            batch = x.copy()  # a fresh array per step, held only by its graph
+            with plan.step():
+                hidden = model(nn.Tensor(batch)).relu()
+                loss = (hidden * hidden).mean()
+                optimizer.zero_grad()
+                loss.backward()
+                optimizer.step()
+            refs.append(weakref.ref(batch))
+            del batch, hidden
+        # the plan keeps only the latest step's tape; earlier ones are gone
+        assert [ref() is None for ref in refs] == [True, True, False]
+        with pytest.raises(RuntimeError, match="finished plan step"):
+            loss.backward()
+    finally:
+        gc.enable()
+
+
+def test_no_grad_results_keep_no_closure():
+    import gc
+    import weakref
+
+    model = nn.Linear(6, 3)
+    gc.disable()
+    try:
+        with nn.no_grad():
+            out = model(nn.Tensor(np.ones((2, 6)))).relu()
+        ref = weakref.ref(out.data)  # a fresh array only the tensor holds
+        del out
+        assert ref() is None
+    finally:
+        gc.enable()

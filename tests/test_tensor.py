@@ -169,6 +169,32 @@ class TestReductionsAndShapes:
         expected[1:3, ::2] = 1.0
         np.testing.assert_allclose(x.grad, expected)
 
+    @pytest.mark.parametrize(
+        "index",
+        [
+            0,
+            (1, 2, 3),  # every axis: a 0-d view
+            (slice(None), 0),
+            (Ellipsis, 1),
+            (None, slice(1, 3), Ellipsis, None),
+            (np.int64(2), slice(None, None, -2)),
+            np.array([0, 0, 2]),  # advanced: repeated rows must accumulate
+            (slice(None), [1, 1]),
+            np.array([True, False, True, True]),
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_getitem_gradient_is_bitwise_add_at(self, index, dtype, rng):
+        x = Tensor(rng.standard_normal((4, 3, 5)), requires_grad=True, dtype=dtype)
+        out = x[index]
+        grad = rng.standard_normal(out.shape).astype(dtype)
+        grad.flat[0] = -0.0  # 0 + -0 is +0 on both paths
+        out.backward(grad)
+        expected = np.zeros((4, 3, 5), dtype=dtype)
+        np.add.at(expected, index, grad)
+        assert x.grad.dtype == expected.dtype
+        assert x.grad.tobytes() == expected.tobytes()
+
     def test_pad2d_roundtrip_gradient(self, rng):
         x_data = rng.standard_normal((2, 3, 4, 4))
         x = Tensor(x_data, requires_grad=True)

@@ -133,6 +133,30 @@ class TestTrainer:
         assert len(history.eval_steps) == 6  # one eval per epoch
         assert sched.best_metric is not None
 
+    @pytest.mark.parametrize(
+        "extra_steps,callbacks,expected",
+        [
+            (0, (), 3),  # epoch-aligned: the last epoch's evaluation is the final one
+            (1, (), 4),  # truncated: the final model needs its own evaluation
+            (0, (LRRecorder(),), 4),  # a registered callback forces the final one
+        ],
+    )
+    def test_final_evaluation_reuses_last_epoch_evaluation(self, extra_steps, callbacks, expected):
+        max_epochs = 3
+        model, train, eval_loader = tiny_classification_workload()
+        opt = SGD(model.parameters(), lr=0.1)
+        task = ClassificationTask()
+        calls = []
+        evaluate = task.evaluate
+        task.evaluate = lambda m, loader: calls.append(1) or evaluate(m, loader)
+        trainer = Trainer(
+            model, opt, task, train, eval_loader, callbacks=list(callbacks), eval_every_epoch=True
+        )
+        history = trainer.fit(max_epochs * len(train) + extra_steps)
+        assert len(calls) == expected
+        assert len(history.eval_metrics) == max_epochs
+        assert history.final_metrics == evaluate(model, eval_loader)
+
     def test_early_stopping_callback(self):
         model, train, eval_loader = tiny_classification_workload()
         opt = SGD(model.parameters(), lr=0.0)  # no learning -> metric never improves

@@ -72,6 +72,64 @@ class TestRunStore:
         summary = rex.summary()
         assert summary["count"] == 2
 
+    def test_filter_matches_linear_scan_on_random_criteria(self):
+        def scan(store, **criteria):
+            # the reference: one pass over every record, as before bucketing
+            def matches(rec):
+                for key, want in criteria.items():
+                    have = getattr(rec, key)
+                    if isinstance(want, (list, tuple, set, frozenset)):
+                        if have not in want:
+                            return False
+                    elif isinstance(want, float) and isinstance(have, float):
+                        if abs(have - want) > 1e-9:
+                            return False
+                    elif have != want:
+                        return False
+                return True
+
+            return [r for r in store if matches(r)]
+
+        rng = np.random.default_rng(0)
+        values = {
+            "setting": ["A", "B", "C"],
+            "optimizer": ["sgdm", "adam"],
+            "schedule": ["rex", "linear", "cosine", "step"],
+            "budget_fraction": [0.01, 0.05, 0.1, 0.25, 0.5, 1.0],
+            "seed": [0, 1, 2],
+        }
+
+        def pick(field):
+            return values[field][rng.integers(len(values[field]))]
+
+        records = [
+            record(
+                setting=pick("setting"),
+                optimizer=pick("optimizer"),
+                schedule=pick("schedule"),
+                # a budget within the 1e-9 tolerance of a grid value must match it
+                budget=pick("budget_fraction") + float(rng.choice([0.0, 4e-10, -4e-10, 1e-6])),
+                seed=pick("seed"),
+                metric=float(i),
+            )
+            for i in range(300)
+        ]
+        store = RunStore(records[:200])
+        for trial in range(400):
+            if trial == 200:
+                store.extend(records[200:])  # the buckets must follow new records
+            criteria = {}
+            for field in rng.permutation(list(values)):
+                roll = rng.random()
+                if roll < 0.4:
+                    criteria[field] = pick(field)
+                elif roll < 0.55:
+                    criteria[field] = [pick(field), pick(field)]
+            got = store.filter(**criteria)
+            assert [r.metric for r in got] == [r.metric for r in scan(store, **criteria)], criteria
+        store.add(record(setting="A", optimizer="adam", schedule="rex", metric=-1.0))
+        assert store.filter(setting="A", optimizer="adam", schedule="rex")[-1].metric == -1.0
+
     def test_best_metric_respects_direction(self):
         store = RunStore([record(metric=10.0, higher=True), record(metric=20.0, higher=True)])
         assert store.best_metric() == 20.0
