@@ -15,12 +15,11 @@ Contracts:
   shared input raises instead of leaking into the next cell.  Callers receive
   a fresh shallow copy of the stored containers (tuples, mappings, datasets)
   whose arrays are the stored read-only arrays.
-* **Bounded.** The stored arrays never total more than ``max_bytes``; the
-  least recently used entries are dropped to make room, and a value larger
+* **Bounded.** The stored arrays never total more than :data:`MAX_BYTES`;
+  the least recently used entries are dropped to make room, and a value larger
   than the whole bound is handed out without being stored.
-* **Thread-safe.** ``repro serve`` trains cells in threads.  A build runs
-  outside the memo's lock, under a per-key lock, so concurrent requests for
-  one key build it once while other keys proceed.
+* **Thread-safe.** ``repro serve`` trains cells in threads.  One lock is held
+  across lookup, build and store, so concurrent requests build each key once.
 """
 
 from __future__ import annotations
@@ -36,14 +35,14 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset
 
-__all__ = ["InputMemo", "INPUTS"]
+__all__ = ["InputMemo", "INPUTS", "MAX_BYTES"]
 
 T = TypeVar("T")
 
-#: default bound of the process memo: 14 split pairs of the largest proxy
-#: dataset at full scale (detection, 4.6 MB a pair), enough for every seed of
-#: a 10-seed sweep of any one setting
-DEFAULT_MAX_BYTES = 64 * 2**20
+#: bound of the process memo: 14 split pairs of the largest proxy dataset at
+#: full scale (detection, 4.6 MB a pair), enough for every seed of a 10-seed
+#: sweep of any one setting
+MAX_BYTES = 64 * 2**20
 
 
 def _arrays(value: Any) -> list[np.ndarray]:
@@ -73,19 +72,14 @@ def _share(value: Any) -> Any:
 class InputMemo:
     """A bounded, thread-safe map from a key to a read-only input built on first use."""
 
-    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be non-negative, got {max_bytes}")
-        self.max_bytes = max_bytes
+    def __init__(self) -> None:
+        self.max_bytes = MAX_BYTES
         self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
         self._nbytes = 0
-        self.hits = 0
-        self.misses = 0
-        self._reset_locks()
+        self._reset_lock()
 
-    def _reset_locks(self) -> None:
+    def _reset_lock(self) -> None:
         self._lock = threading.Lock()
-        self._building: dict[Hashable, threading.Lock] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -101,15 +95,6 @@ class InputMemo:
             self._entries.clear()
             self._nbytes = 0
 
-    def _lookup(self, key: Hashable) -> tuple[bool, Any]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False, None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return True, entry[0]
-
     def get(self, key: Hashable, build: Callable[[], T]) -> T:
         """Return the input stored under ``key``, calling ``build()`` on its first use.
 
@@ -117,43 +102,28 @@ class InputMemo:
         or tuples and mappings of them.  Its arrays are marked read-only
         before anything is handed out, whether or not the value fits the bound.
         """
-        found, value = self._lookup(key)
-        if found:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return _share(entry[0])
+            value = build()
+            arrays = _arrays(value)
+            for array in arrays:
+                array.flags.writeable = False
+            nbytes = sum(a.nbytes for a in arrays)
+            if nbytes <= self.max_bytes:
+                while self._nbytes + nbytes > self.max_bytes:
+                    _, (_, evicted) = self._entries.popitem(last=False)
+                    self._nbytes -= evicted
+                self._entries[key] = (value, nbytes)
+                self._nbytes += nbytes
             return _share(value)
-        with self._lock:
-            key_lock = self._building.setdefault(key, threading.Lock())
-        try:
-            with key_lock:
-                # another thread may have built it while this one waited
-                found, value = self._lookup(key)
-                if found:
-                    return _share(value)
-                value = build()
-                arrays = _arrays(value)
-                for array in arrays:
-                    array.flags.writeable = False
-                self._store(key, value, sum(a.nbytes for a in arrays))
-                return _share(value)
-        finally:
-            with self._lock:
-                if self._building.get(key) is key_lock:
-                    del self._building[key]
-
-    def _store(self, key: Hashable, value: Any, nbytes: int) -> None:
-        with self._lock:
-            self.misses += 1
-            if nbytes > self.max_bytes:
-                return
-            while self._nbytes + nbytes > self.max_bytes:
-                _, (_, evicted) = self._entries.popitem(last=False)
-                self._nbytes -= evicted
-            self._entries[key] = (value, nbytes)
-            self._nbytes += nbytes
 
 
 #: the memo the experiment runners share for the life of the process
 INPUTS = InputMemo()
 
-# A worker forked while another thread held a memo lock would inherit it
-# locked forever; the child starts with fresh locks (entries stay valid).
-os.register_at_fork(after_in_child=INPUTS._reset_locks)
+# A worker forked while another thread held the memo's lock would inherit it
+# locked forever; the child starts with a fresh lock (entries stay valid).
+os.register_at_fork(after_in_child=INPUTS._reset_lock)

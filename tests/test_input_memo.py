@@ -59,7 +59,7 @@ def _blob(records) -> list[str]:
     return [json.dumps(r.to_dict(), sort_keys=True) for r in records]
 
 
-def test_records_equal_fresh_process_and_warm_memo():
+def test_records_equal_fresh_process_and_warm_memo(monkeypatch):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO_SRC), str(Path(__file__).parent)]))
     proc = subprocess.run(
         [sys.executable, "-c", _FRESH_SCRIPT], env=env, capture_output=True, text=True, timeout=300
@@ -74,11 +74,25 @@ def test_records_equal_fresh_process_and_warm_memo():
         run_glue_cell(GlueTaskCell(task=task, **dict(GLUE_CELL, schedule="linear")))
     run_glue_cell(GlueTaskCell(task="CoLA", **GLUE_CELL, dtype="float32"))
     run_batched_cell(dataclasses.replace(YOLO_CELL, base=dataclasses.replace(YOLO_CELL.base, budget_fraction=0.25)))
-    hits = INPUTS.hits
+
+    requested: list = []
+    built: list = []
+    original_get = INPUTS.get
+
+    def spy(key, build):
+        requested.append(key)
+
+        def counted():
+            built.append(key)
+            return build()
+
+        return original_get(key, counted)
+
+    monkeypatch.setattr(INPUTS, "get", spy)
     warm = [run_glue_cell(GlueTaskCell(task=task, **GLUE_CELL)) for task in GLUE_TASKS]
     warm += run_batched_cell(YOLO_CELL)
     # 8 task splits + 8 encoders + 2 seeds' datasets, all served from the memo
-    assert INPUTS.hits - hits == 18
+    assert len(requested) == 18 and built == []
     assert _blob(warm) == fresh
 
 
@@ -137,7 +151,8 @@ def test_memoized_inputs_are_read_only():
 
 
 def test_memo_stays_within_its_bound():
-    memo = InputMemo(max_bytes=100)
+    memo = InputMemo()
+    memo.max_bytes = 100
     built: list[str] = []
 
     def array(name: str, nbytes: int):
@@ -153,9 +168,9 @@ def test_memo_stays_within_its_bound():
     memo.get("c", array("c", 40))  # evicts b, the least recently used
     assert memo.nbytes == 80 <= memo.max_bytes and len(memo) == 2
     memo.get("a", array("a", 40))
-    memo.get("b", array("b", 40))
+    memo.get("b", array("b", 40))  # built again after its eviction, counted once
     assert built == ["a", "b", "c", "b"]
-    assert memo.nbytes <= memo.max_bytes
+    assert memo.nbytes == 80 and len(memo) == 2
 
     huge = memo.get("huge", array("huge", 101))  # larger than the bound: handed out, not stored
     assert not huge.flags.writeable
@@ -201,4 +216,4 @@ def test_concurrent_requests_build_each_key_once():
     assert counts == {0: 1, 1: 1, 2: 1, 3: 1}
     assert len(results) == 8 * 200
     assert all(value[0] == value[-1] for value in results)
-    assert memo.hits + memo.misses == 8 * 200 and memo.misses == 4
+    assert len(memo) == 4 and memo.nbytes == 4 * 1000 * 8
