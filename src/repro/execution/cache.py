@@ -40,8 +40,11 @@ __all__ = [
 #: the same cell cache separately; v3: the dtype axis grew the emulated
 #: ``bfloat16``/``float16`` values and those runs follow different training
 #: numerics — master weights, loss scaling — so every pre-v3 entry must be
-#: recomputed rather than risk a stale float32-era hit)
-FINGERPRINT_VERSION = 3
+#: recomputed rather than risk a stale float32-era hit; v4: BatchNorm and
+#: LayerNorm train through one fused node with a closed-form backward, whose
+#: gradients round differently from the composed ops', so a cached record
+#: must not mix old-numerics bits with new ones)
+FINGERPRINT_VERSION = 4
 
 
 def _canonical(value: Any) -> Any:

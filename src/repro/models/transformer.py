@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from repro import nn
@@ -115,17 +117,21 @@ class TinyTransformer(nn.Module):
 
         rng = spawn_rng("pretrain", seed=seed)
         optimizer = AdamW(self.parameters(), lr=lr)
+        # planned like Trainer._fit: each step reuses the arena, and the plan
+        # releases the finished step's tape so refcounting frees it
+        graph_plan = nn.GraphPlan() if nn.plan_enabled_default() else None
         final_loss = 0.0
         for _ in range(max(0, steps)):
             tokens = rng.integers(2, self.config.vocab_size, size=(batch_size, self.config.max_seq_len // 2))
             corrupted = tokens.copy()
             mask = rng.random(tokens.shape) < 0.15
             corrupted[mask] = 0
-            hidden = self.encode(corrupted)
-            logits = self.mlm_head(hidden).reshape(-1, self.config.vocab_size)
-            loss = cross_entropy(logits, tokens.reshape(-1))
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+            with graph_plan.step() if graph_plan is not None else nullcontext():
+                hidden = self.encode(corrupted)
+                logits = self.mlm_head(hidden).reshape(-1, self.config.vocab_size)
+                loss = cross_entropy(logits, tokens.reshape(-1))
+                optimizer.zero_grad()
+                loss.backward()
+                optimizer.step()
             final_loss = float(loss.data)
         return final_loss

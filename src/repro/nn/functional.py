@@ -12,13 +12,14 @@ kernels run with fresh allocations and produce bitwise-identical values.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.nn import plan as _plan
 from repro.nn.dtype import active_emulation, get_default_dtype
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, is_grad_enabled
 
 __all__ = [
     "linear",
@@ -28,6 +29,8 @@ __all__ = [
     "global_avg_pool2d",
     "embedding",
     "dropout",
+    "batch_norm",
+    "layer_norm",
     "one_hot",
     "im2col",
     "col2im",
@@ -380,6 +383,164 @@ def conv2d(
     out._backward = _backward
     _plan.tag(out, "conv2d")
     return out
+
+
+# ---------------------------------------------------------------------------
+# normalisation
+# ---------------------------------------------------------------------------
+
+def _normalize(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    axes: tuple[int, ...],
+    param_axes: tuple[int, ...],
+    eps: float,
+    kind: str,
+    stats: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """``(x - mean) / sqrt(var + eps) * weight + bias`` as one graph node.
+
+    Statistics reduce over ``axes``; the affine parameters vary along every
+    axis not in ``param_axes`` (they are reshaped to broadcast against
+    ``x``).  With ``stats=None`` the mean and biased variance come from
+    ``x`` itself and the backward is the closed form through them:
+
+    * ``grad_bias = Σ g`` and ``grad_weight = Σ g·x̂`` over ``param_axes``;
+    * ``dx = inv_std · (h − mean(h) − x̂ · mean(h·x̂))`` with ``h = g·weight``
+      and means over ``axes``.
+
+    With ``stats=(mean, var)`` (BatchNorm in eval mode: the running buffers,
+    shaped like the parameters) the statistics are constants and
+    ``dx = g·weight / std``.  Returns the output together with
+    the mean and variance used, shaped to broadcast against ``x``.
+
+    Every full-size workspace — ``x̂`` (kept only when a gradient will be
+    asked for) and the output — is checked out before the output node is
+    registered, so a plan's ``alias`` pass keeps them alive until this
+    node's backward has run.  Forward values are those of the composed ops
+    (centre, square, mean, ``(var + eps) ** 0.5``, divide, scale, shift).
+    Reductions run over the same axes whatever the seed stacking, so each
+    seed's slice of a stacked call is bitwise its stand-alone call.
+    """
+    a = x.data
+    dt = np.result_type(a.dtype, weight.data.dtype, bias.data.dtype)
+    param_shape = tuple(1 if i in param_axes else n for i, n in enumerate(a.shape))
+    w = weight.data.reshape(param_shape)
+    b = bias.data.reshape(param_shape)
+    count = math.prod(a.shape[i] for i in axes)
+    scale = dt.type(1.0 / count)
+    requires_grad = x.requires_grad or weight.requires_grad or bias.requires_grad
+    tracked = requires_grad and is_grad_enabled()
+    x_hat = _empty(a.shape, dt) if tracked else None
+    out_data = _empty(a.shape, dt)
+    centered = x_hat if x_hat is not None else out_data
+    if stats is None:
+        mean = a.sum(axis=axes, keepdims=True) * scale
+        np.subtract(a, mean, out=centered)
+        # the output buffer doubles as the squares' scratch space
+        squares = out_data if x_hat is not None else _empty(a.shape, dt)
+        np.multiply(centered, centered, out=squares)
+        var = squares.sum(axis=axes, keepdims=True) * scale
+        std = np.power(var + dt.type(eps), 0.5)
+    else:
+        mean, var = (stat.reshape(param_shape) for stat in stats)
+        std = np.sqrt(var + eps).astype(dt, copy=False)
+        np.subtract(a, mean.astype(dt, copy=False), out=centered)
+    np.true_divide(centered, std, out=centered)
+    np.multiply(centered, w, out=out_data)
+    np.add(out_data, b, out=out_data)
+    out = Tensor(out_data, requires_grad=requires_grad, _prev=(x, weight, bias))
+
+    def _backward() -> None:
+        g = out.grad
+        if g is None:
+            return
+        grad_b = g.sum(axis=param_axes, keepdims=True) if bias.requires_grad else None
+        grad_w = None
+        if weight.requires_grad or x.requires_grad:
+            t = _empty(g.shape, dt)
+            np.multiply(g, x_hat, out=t)
+            if weight.requires_grad:
+                grad_w = t.sum(axis=param_axes, keepdims=True)
+            if x.requires_grad:
+                if stats is not None:
+                    np.multiply(g, w, out=t)
+                    t /= std
+                elif param_axes == axes:
+                    # BatchNorm: the weight is constant over the statistics'
+                    # axes, so mean(g·w) = w·mean(g) and the parameter sums
+                    # are the means' sums
+                    sum_gx = grad_w if grad_w is not None else t.sum(axis=axes, keepdims=True)
+                    sum_g = grad_b if grad_b is not None else g.sum(axis=axes, keepdims=True)
+                    np.multiply(x_hat, sum_gx * scale, out=t)
+                    np.subtract(g, t, out=t)
+                    t -= sum_g * scale
+                    t *= w / std
+                else:
+                    # LayerNorm: the weight varies along the normalised axis
+                    t *= w
+                    sum_hx = t.sum(axis=axes, keepdims=True)
+                    h = _empty(g.shape, dt)
+                    np.multiply(g, w, out=h)
+                    sum_h = h.sum(axis=axes, keepdims=True)
+                    np.multiply(x_hat, sum_hx * scale, out=t)
+                    np.subtract(h, t, out=t)
+                    t -= sum_h * scale
+                    t /= std
+                x._accumulate(t, own=True)
+        # parameter gradients last: adopting them lets a leaf's cast-on-store
+        # round them in place, after dx has used them
+        if grad_w is not None:
+            weight._accumulate(grad_w.reshape(weight.shape), own=True)
+        if grad_b is not None:
+            bias._accumulate(grad_b.reshape(bias.shape), own=True)
+
+    out._backward = _backward
+    _plan.tag(out, kind)
+    return out, mean, var
+
+
+def batch_norm(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    axes: tuple[int, ...],
+    training: bool,
+    momentum: float = 0.1,
+    eps: float = 1e-5,
+) -> Tensor:
+    """Batch normalisation over ``axes`` with per-channel affine parameters.
+
+    In training mode the batch statistics normalise ``x`` and update the
+    running buffers in place (``running = (1 - momentum)·running +
+    momentum·batch``, biased variance); in eval mode the running buffers
+    normalise ``x``.  For a seed-stacked input ``axes`` excludes the seed
+    axis, so statistics, parameters and the (S, C) running buffers all stay
+    per-seed.  One graph node (see :func:`_normalize`).
+    """
+    if training:
+        out, mean, var = _normalize(x, weight, bias, axes, axes, eps, "batchnorm")
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean.reshape(running_mean.shape)
+        running_var *= 1.0 - momentum
+        running_var += momentum * var.reshape(running_var.shape)
+        return out
+    stats = (running_mean, running_var)
+    return _normalize(x, weight, bias, axes, axes, eps, "batchnorm", stats)[0]
+
+
+def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Layer normalisation over the last axis (one graph node).
+
+    ``weight``/``bias`` are (D,), or (S, D) when seed-stacked against an
+    (S, ..., D) input.
+    """
+    last = x.ndim - 1
+    first = 0 if weight.seed_dim is None else 1
+    return _normalize(x, weight, bias, (last,), tuple(range(first, last)), eps, "layernorm")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn import functional as F
 from repro.nn.modules.base import Module, Parameter
 from repro.nn.tensor import Tensor
 
@@ -32,33 +33,21 @@ class _BatchNorm(Module):
                 f"got input shape {x.shape}"
             )
 
-    def _normalise(self, x: Tensor, axes: tuple[int, ...], shape: tuple[int, ...]) -> Tensor:
+    def _normalise(self, x: Tensor, axes: tuple[int, ...]) -> Tensor:
         # ``axes`` never includes the seed axis when the module is stacked, so
         # statistics (and the running buffers, which are then (S, C)) stay
         # strictly per-seed.
-        if self.training:
-            # One centering pass feeds both the variance and the normalised
-            # output (``x.var`` would re-derive the mean and re-subtract it),
-            # and the running buffers reuse the same statistics instead of
-            # separate ``np.mean``/``np.var`` passes over the activation.
-            mean_t = x.mean(axis=axes, keepdims=True)
-            centered = x - mean_t
-            var_t = (centered * centered).mean(axis=axes, keepdims=True)
-            running_mean = self._buffers["running_mean"]
-            running_var = self._buffers["running_var"]
-            running_mean *= 1.0 - self.momentum
-            running_mean += self.momentum * mean_t.data.reshape(running_mean.shape)
-            running_var *= 1.0 - self.momentum
-            running_var += self.momentum * var_t.data.reshape(running_var.shape)
-            x_hat = centered / ((var_t + self.eps) ** 0.5)
-        else:
-            mean = self._buffers["running_mean"].reshape(shape)
-            var = self._buffers["running_var"].reshape(shape)
-            dtype = x.data.dtype
-            x_hat = (x - Tensor(mean, dtype=dtype)) / Tensor(np.sqrt(var + self.eps), dtype=dtype)
-        weight = self.weight.reshape(*shape)
-        bias = self.bias.reshape(*shape)
-        return x_hat * weight + bias
+        return F.batch_norm(
+            x,
+            self.weight,
+            self.bias,
+            self._buffers["running_mean"],
+            self._buffers["running_var"],
+            axes,
+            self.training,
+            self.momentum,
+            self.eps,
+        )
 
 
 class BatchNorm1d(_BatchNorm):
@@ -71,11 +60,11 @@ class BatchNorm1d(_BatchNorm):
                     f"seed-batched BatchNorm1d expects (S, N, C) input, got shape {x.shape}"
                 )
             self._check_channels(x, 2)
-            return self._normalise(x, axes=(1,), shape=(self.seed_dim, 1, self.num_features))
+            return self._normalise(x, axes=(1,))
         if x.ndim != 2:
             raise ValueError(f"BatchNorm1d expects (N, C) input, got shape {x.shape}")
         self._check_channels(x, 1)
-        return self._normalise(x, axes=(0,), shape=(1, self.num_features))
+        return self._normalise(x, axes=(0,))
 
 
 class BatchNorm2d(_BatchNorm):
@@ -88,13 +77,11 @@ class BatchNorm2d(_BatchNorm):
                     f"seed-batched BatchNorm2d expects (S, N, C, H, W) input, got shape {x.shape}"
                 )
             self._check_channels(x, 2)
-            return self._normalise(
-                x, axes=(1, 3, 4), shape=(self.seed_dim, 1, self.num_features, 1, 1)
-            )
+            return self._normalise(x, axes=(1, 3, 4))
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2d expects NCHW input, got shape {x.shape}")
         self._check_channels(x, 1)
-        return self._normalise(x, axes=(0, 2, 3), shape=(1, self.num_features, 1, 1))
+        return self._normalise(x, axes=(0, 2, 3))
 
 
 class LayerNorm(Module):
@@ -114,12 +101,4 @@ class LayerNorm(Module):
             raise ValueError(
                 f"LayerNorm expected last dim {self.normalized_shape}, got shape {x.shape}"
             )
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        x_hat = centered / ((var + self.eps) ** 0.5)
-        if self.weight.seed_dim is not None:
-            # (S, D) affine params broadcast per-seed against (S, ..., D)
-            shape = (self.weight.shape[0],) + (1,) * (x.ndim - 2) + (self.normalized_shape,)
-            return x_hat * self.weight.reshape(*shape) + self.bias.reshape(*shape)
-        return x_hat * self.weight + self.bias
+        return F.layer_norm(x, self.weight, self.bias, self.eps)

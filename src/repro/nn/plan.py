@@ -79,6 +79,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.nn import plan_passes as _passes_mod
+from repro.nn.dtype import default_dtype, resolve_dtype
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tensor imports plan)
     from repro.nn.tensor import Tensor
@@ -643,21 +644,26 @@ class GraphPlan:
         pool = _passes_mod.shared_pool()
         run = self._run_item
         self._parallel_exec = True
+        # the default dtype (and with it an emulated policy's cast-on-store
+        # of leaf gradients) is thread-local, so pool workers enter the
+        # calling thread's
+        ambient = resolve_dtype(None)
         for wave in self._waves:
             if len(wave) == 1:
-                run(wave[0], nodes)
+                run(wave[0], nodes, ambient)
             else:
-                futures = [pool.submit(run, item, nodes) for item in wave]
+                futures = [pool.submit(run, item, nodes, ambient) for item in wave]
                 for future in futures:
                     future.result()
 
-    def _run_item(self, item: tuple, nodes: "list[Tensor]") -> None:
+    def _run_item(self, item: tuple, nodes: "list[Tensor]", ambient: object) -> None:
         start, op = item
         self._tls.pos = start
-        if type(op) is int:
-            nodes[op]._backward()
-        else:
-            op.execute(self, nodes)
+        with default_dtype(ambient):
+            if type(op) is int:
+                nodes[op]._backward()
+            else:
+                op.execute(self, nodes)
 
     # -- arena accounting -----------------------------------------------------
     def arena_nbytes(self) -> int:

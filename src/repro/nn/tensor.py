@@ -552,8 +552,8 @@ class Tensor:
 
     def __sub__(self, other: "Tensor | float | np.ndarray") -> "Tensor":
         # A dedicated node (rather than ``self + (-other)``): one graph node
-        # and one temporary fewer on a path batchnorm/layernorm hit every
-        # step, with bitwise-identical values (a - b == a + (-b) in IEEE754).
+        # and one temporary fewer, with bitwise-identical values
+        # (a - b == a + (-b) in IEEE754).
         other = Tensor.ensure(other)
         out = Tensor(
             _ew(np.subtract, self.data, other.data),
@@ -772,17 +772,37 @@ class Tensor:
         return out
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        scale = np.where(mask, self.data.dtype.type(1.0), self.data.dtype.type(negative_slope))
-        out = Tensor(
-            _ew(np.multiply, self.data, scale),
-            requires_grad=self.requires_grad,
-            _prev=(self,),
-        )
+        # Bitwise ``x * scale`` with ``scale = 1 where x > 0 else slope``, but
+        # only the bool mask is kept for backward.  For 0 < slope <= 1,
+        # ``max(x, slope * x)`` picks exactly that product (slope 0 would
+        # turn +inf into nan; that is ``relu``), and ``mask * (1 - slope) +
+        # slope`` rounds to exactly 1 where the mask holds and is ``slope``
+        # elsewhere.  Both are plain elementwise passes; a masked copy or an
+        # ``np.where`` select is several times slower.
+        if not 0.0 < negative_slope <= 1.0:
+            raise ValueError(f"negative_slope must lie in (0, 1], got {negative_slope}")
+        plan = _plan.ACTIVE
+        a = self.data
+        slope = a.dtype.type(negative_slope)
+        if plan is not None:
+            mask = np.greater(a, 0, out=plan.checkout(a.shape, np.dtype(bool)))
+        else:
+            mask = a > 0
+        out_data = _scalar_ew(np.multiply, a, slope)
+        np.maximum(out_data, a, out=out_data)
+        out = Tensor(out_data, requires_grad=self.requires_grad, _prev=(self,))
 
         def _backward() -> None:
             if out.grad is not None and self.requires_grad:
-                self._accumulate(_ew(np.multiply, out.grad, scale), own=True)
+                g = out.grad
+                inner = _plan.ACTIVE
+                grad = (
+                    inner.checkout(g.shape, g.dtype) if inner is not None else np.empty_like(g)
+                )
+                np.multiply(mask, g.dtype.type(1) - slope, out=grad)
+                grad += slope
+                grad *= g
+                self._accumulate(grad, own=True)
 
         out._backward = _backward
         return out

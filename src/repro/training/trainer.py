@@ -233,9 +233,12 @@ class Trainer:
             if self._stop_requested():
                 break
 
-        if step_eval is not None and not self.callbacks:
-            # the last step's epoch evaluation saw the final model; a callback
-            # may change the model at an epoch end, so it forces a fresh one
+        if step_eval is not None and not any(
+            type(cb).on_epoch_end is not Callback.on_epoch_end for cb in self.callbacks
+        ):
+            # the last step's epoch evaluation saw the final model; only an
+            # ``on_epoch_end`` hook runs between it and here and may change
+            # the model, so a callback overriding it forces a fresh one
             final_metrics = step_eval
         else:
             final_metrics = self._evaluate()

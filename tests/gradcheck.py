@@ -33,6 +33,7 @@ __all__ = [
     "assert_grad_close",
     "tolerances_for",
     "module_gradcheck",
+    "random_affine",
 ]
 
 
@@ -160,3 +161,15 @@ def module_gradcheck(
             err_msg=f"parameter {name!r}",
             **tols,
         )
+
+
+def random_affine(module: Module, rng: np.random.Generator) -> Module:
+    """Randomise a normalisation module's weight and bias; returns the module.
+
+    With the default weight = 1, bias = 0 an input gradient that misplaces the
+    weight (e.g. LayerNorm's, which varies along the normalised axis) still
+    passes a gradcheck; a random affine exposes it.
+    """
+    module.weight.data[...] = rng.uniform(0.5, 1.5, module.weight.shape)
+    module.bias.data[...] = rng.standard_normal(module.bias.shape)
+    return module

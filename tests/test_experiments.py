@@ -114,6 +114,26 @@ class TestRunner:
         )
         assert record.extra["warmup_steps"] > 0
 
+    def test_epoch_aligned_plateau_cell_reuses_last_evaluation(self, monkeypatch):
+        # run_single always registers a LossNaNGuard; the guard only stops
+        # training, so the final model's metrics come from the last epoch's
+        # evaluation instead of a second pass over the eval set
+        from repro.training import ClassificationTask
+
+        calls = []
+        evaluate = ClassificationTask.evaluate
+
+        def counting(self, model, loader):
+            calls.append(1)
+            return evaluate(self, model, loader)
+
+        monkeypatch.setattr(ClassificationTask, "evaluate", counting)
+        record = run_single(
+            RunConfig("RN20-CIFAR10", "plateau", "sgdm", 1.0, size_scale=0.2, epoch_scale=0.12)
+        )
+        assert record.extra["total_steps"] == 4
+        assert len(calls) == 2  # one per epoch; the final metrics reuse the second
+
     def test_wrong_optimizer_for_setting(self):
         with pytest.raises(ValueError):
             run_single(

@@ -9,8 +9,9 @@ The tentpole invariants:
 * overflowed steps are skipped — parameters untouched, scale halved — and
   the scale recovers after ``growth_interval`` clean steps, with the exact
   trajectory pinned in ``golden/loss_scale.json``;
-* emulated-dtype cells fingerprint distinctly and FINGERPRINT_VERSION 3
-  invalidates every pre-existing cache entry.
+* emulated-dtype cells fingerprint distinctly, and bumping
+  FINGERPRINT_VERSION (3 for the dtype axis, 4 for the fused normalization
+  numerics) invalidates every pre-existing cache entry.
 
 Regenerate the golden trajectory (after an *intentional* change) with::
 
@@ -377,8 +378,8 @@ class TestCacheInvalidation:
         config = RunConfig(
             setting="RN20-CIFAR10", schedule="rex", optimizer="sgdm", budget_fraction=0.25
         )
-        assert FINGERPRINT_VERSION == 3
-        assert fingerprint_payload(config)["version"] == 3
+        assert FINGERPRINT_VERSION == 4
+        assert fingerprint_payload(config)["version"] == 4
 
     def test_version_bump_invalidates_prior_entries(self, monkeypatch):
         # a pre-v3 cache entry must never be returned for a v3 config: the

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gradcheck import module_gradcheck
+from gradcheck import module_gradcheck, random_affine
 from repro import nn
 
 DTYPES = ("float64", "float32", "bfloat16", "float16")
@@ -208,3 +208,28 @@ class TestSeedBatchedProperties:
         for g1, p in zip(grads1, stacked.parameters()):
             np.testing.assert_array_equal(g1[0], p.grad[0])
             np.testing.assert_array_equal(g1[2], p.grad[2])
+
+
+# ---------------------------------------------------------------------------
+# fused normalisation with a non-trivial affine
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("eval_mode", [False, True], ids=["train", "eval"])
+@pytest.mark.parametrize(
+    "build_fn,input_shape",
+    [
+        (lambda rng: random_affine(nn.BatchNorm1d(5), rng), (6, 5)),
+        (lambda rng: random_affine(nn.BatchNorm2d(3), rng), (3, 3, 2, 4)),
+        (lambda rng: random_affine(nn.LayerNorm(6), rng), (4, 6)),
+        (lambda rng: random_affine(nn.LayerNorm(6), rng), (2, 3, 6)),
+    ],
+    ids=["batchnorm1d", "batchnorm2d", "layernorm", "layernorm3d"],
+)
+def test_fused_norm_gradcheck_float64(build_fn, input_shape, eval_mode):
+    module_gradcheck(
+        build_fn,
+        input_shape,
+        dtype="float64",
+        eval_mode=eval_mode,
+        warmup_steps=2 if eval_mode else 0,
+    )

@@ -8,6 +8,8 @@ import pytest
 from repro import nn
 from repro.nn.tensor import Tensor
 
+from gradcheck import random_affine, tolerances_for
+
 
 class TestModuleBase:
     def test_parameter_registration_and_count(self):
@@ -135,6 +137,180 @@ class TestNorms:
         bn(x).sum().backward()
         assert x.grad is not None
         assert bn.weight.grad is not None
+
+
+def _composite_norm(x, weight, bias, axes, shape, eps):
+    """The normalisation as composed tensor ops (reference for the fused node)."""
+    mean = x.mean(axis=axes, keepdims=True)
+    centered = x - mean
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    x_hat = centered / ((var + eps) ** 0.5)
+    return x_hat * weight.reshape(*shape) + bias.reshape(*shape), mean, var
+
+
+# (module factory, input shape, statistics axes, parameter broadcast shape)
+NORM_CASES = {
+    "batchnorm1d": (lambda: nn.BatchNorm1d(5), (7, 5), (0,), (1, 5)),
+    "batchnorm2d": (lambda: nn.BatchNorm2d(3), (4, 3, 5, 2), (0, 2, 3), (1, 3, 1, 1)),
+    "layernorm": (lambda: nn.LayerNorm(6), (4, 6), (-1,), (6,)),
+    "layernorm3d": (lambda: nn.LayerNorm(6), (2, 5, 6), (-1,), (6,)),
+}
+
+
+def _buffers(module):
+    return [buf for m in module.modules() for buf in m._buffers.values()]
+
+
+def _stacked_input(shape, num_seeds, rng):
+    return np.stack([rng.standard_normal(shape) * 2.0 + 1.0 for _ in range(num_seeds)])
+
+
+class TestFusedNorm:
+    """BatchNorm/LayerNorm train as one graph node with a closed-form backward."""
+
+    @pytest.mark.parametrize("name", sorted(NORM_CASES))
+    def test_single_graph_node(self, name):
+        factory, shape, _, _ = NORM_CASES[name]
+        module = factory()
+        x = Tensor(np.random.default_rng(0).standard_normal(shape), requires_grad=True)
+        out = module(x)
+        assert out._prev == (x, module.weight, module.bias)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "bfloat16"])
+    @pytest.mark.parametrize("name", sorted(NORM_CASES))
+    def test_matches_composite_formula(self, name, dtype):
+        factory, shape, axes, pshape = NORM_CASES[name]
+        rng = np.random.default_rng(1)
+        x_data = rng.standard_normal(shape) * 3.0 + 2.0
+        proj = rng.standard_normal(shape)
+        with nn.default_dtype(dtype):
+            module = random_affine(factory(), rng)
+            x = Tensor(x_data, requires_grad=True)
+            out = module(x)
+            out.backward(proj.astype(out.data.dtype))
+            ref_w = nn.Parameter(module.weight.data.copy())
+            ref_b = nn.Parameter(module.bias.data.copy())
+            ref_x = Tensor(x_data, requires_grad=True)
+            ref_out, _, _ = _composite_norm(ref_x, ref_w, ref_b, axes, pshape, module.eps)
+            ref_out.backward(proj.astype(ref_out.data.dtype))
+        tols = tolerances_for(dtype)
+        pairs = [
+            (out.data, ref_out.data),
+            (x.grad, ref_x.grad),
+            (module.weight.grad, ref_w.grad),
+            (module.bias.grad, ref_b.grad),
+        ]
+        for got, want in pairs:
+            assert got.dtype == want.dtype
+            np.testing.assert_allclose(got, want, **tols)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("name", ["batchnorm1d", "batchnorm2d"])
+    def test_running_stats_match_composite_update(self, name, dtype):
+        factory, shape, axes, pshape = NORM_CASES[name]
+        rng = np.random.default_rng(2)
+        with nn.default_dtype(dtype):
+            module = factory()
+            running_mean = module._buffers["running_mean"].copy()
+            running_var = module._buffers["running_var"].copy()
+            for _ in range(3):
+                x = Tensor(rng.standard_normal(shape) * 2.0 + 5.0)
+                module(x)
+                _, mean, var = _composite_norm(
+                    x, module.weight, module.bias, axes, pshape, module.eps
+                )
+                running_mean *= 1.0 - module.momentum
+                running_mean += module.momentum * mean.data.reshape(running_mean.shape)
+                running_var *= 1.0 - module.momentum
+                running_var += module.momentum * var.data.reshape(running_var.shape)
+        np.testing.assert_array_equal(module._buffers["running_mean"], running_mean)
+        np.testing.assert_array_equal(module._buffers["running_var"], running_var)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "bfloat16"])
+    @pytest.mark.parametrize("name", sorted(NORM_CASES))
+    def test_seed_stacked_matches_serial_bitwise(self, name, dtype):
+        factory, shape, _, _ = NORM_CASES[name]
+        num_seeds = 3
+        rng = np.random.default_rng(3)
+        per_seed = _stacked_input(shape, num_seeds, rng)
+        proj = rng.standard_normal(per_seed.shape)
+        with nn.default_dtype(dtype):
+            replicas = [
+                random_affine(factory(), np.random.default_rng(10 + s)) for s in range(num_seeds)
+            ]
+            stacked = nn.stack_modules(
+                [random_affine(factory(), np.random.default_rng(10 + s)) for s in range(num_seeds)]
+            )
+            for mode in ("train", "eval"):
+                if mode == "eval":
+                    stacked.eval()
+                    for replica in replicas:
+                        replica.eval()
+                x = nn.seed_stacked(per_seed, dtype=dtype)
+                x.requires_grad = True
+                out = stacked(x)
+                out.backward(proj.astype(out.data.dtype))
+                for s, replica in enumerate(replicas):
+                    xs = Tensor(per_seed[s], requires_grad=True)
+                    out_s = replica(xs)
+                    out_s.backward(proj[s].astype(out_s.data.dtype))
+                    where = f"{mode} seed {s}"
+                    np.testing.assert_array_equal(out.data[s], out_s.data, err_msg=where)
+                    np.testing.assert_array_equal(x.grad[s], xs.grad, err_msg=where)
+                    for (pname, p_b), (_, p_s) in zip(
+                        stacked.named_parameters(), replica.named_parameters()
+                    ):
+                        np.testing.assert_array_equal(p_b.grad[s], p_s.grad, err_msg=f"{where} {pname}")
+                    for b_b, b_s in zip(_buffers(stacked), _buffers(replica)):
+                        np.testing.assert_array_equal(b_b[s], b_s, err_msg=f"{where} buffer")
+                stacked.zero_grad()
+                for replica in replicas:
+                    replica.zero_grad()
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "bfloat16"])
+    @pytest.mark.parametrize("passes", ["default", "all"])
+    def test_planned_matches_unplanned_bitwise(self, passes, dtype):
+        from contextlib import nullcontext
+
+        from repro.nn.plan import GraphPlan
+        from repro.optim import SGD
+
+        def train(plan):
+            rng = np.random.default_rng(4)
+            with nn.default_dtype(dtype):
+                conv = nn.Sequential(
+                    nn.Conv2d(2, 3, kernel_size=3, padding=1, rng=rng),
+                    random_affine(nn.BatchNorm2d(3), rng),
+                    nn.LeakyReLU(0.1),
+                    nn.GlobalAvgPool2d(),
+                    nn.Linear(3, 6, rng=rng),
+                    random_affine(nn.BatchNorm1d(6), rng),
+                    nn.ReLU(),
+                    nn.Linear(6, 6, rng=rng),
+                    random_affine(nn.LayerNorm(6), rng),
+                )
+                optimizer = SGD(conv.parameters(), lr=0.05, momentum=0.9)
+                x = Tensor(rng.standard_normal((4, 2, 5, 5)))
+                target = rng.standard_normal((4, 6))
+                losses = []
+                for _ in range(4):
+                    with plan.step() if plan is not None else nullcontext():
+                        diff = conv(x) - Tensor(target)
+                        loss = (diff * diff).mean()
+                        optimizer.zero_grad()
+                        loss.backward()
+                        optimizer.step()
+                    losses.append(loss.data.copy())
+                state = [p.data.copy() for p in conv.parameters()]
+                state += [b.copy() for b in _buffers(conv)]
+                return losses, state
+
+        plain = train(None)
+        plan = GraphPlan(passes=passes)
+        planned = train(plan)
+        assert plan.reused_checkouts > 0 and plan.diverged_steps == 0
+        for got, want in zip(planned[0] + planned[1], plain[0] + plain[1]):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestActivationsDropout:

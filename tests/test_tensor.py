@@ -115,6 +115,36 @@ class TestNonlinearities:
         x_data = rng.standard_normal((3, 4)) + 0.1  # avoid exact zeros for relu/abs kinks
         _check_unary(op, x_data)
 
+    @pytest.mark.parametrize("slope", [0.01, 0.1, 0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("planned", [False, True], ids=["unplanned", "planned"])
+    def test_leaky_relu_bitwise_matches_scale_array_formula(self, rng, dtype, planned, slope):
+        from contextlib import nullcontext
+
+        from repro.nn.plan import GraphPlan
+
+        tiny = np.finfo(dtype).tiny
+        edge = [-0.0, 0.0, tiny, -tiny, tiny / 4, -tiny / 4, -1e-30, 1e-30, -np.inf, np.inf]
+        data = np.concatenate([np.array(edge), rng.standard_normal(22)]).astype(dtype).reshape(4, 8)
+        g = rng.standard_normal(data.shape).astype(dtype)
+        g[0, 2:6] = [-0.0, 0.0, -tiny, tiny]  # x's zeros keep nonzero gradients
+        g[1, :2] = [np.nan, -np.inf]
+        scale = np.where(data > 0, dtype(1.0), dtype(slope))
+        plan = GraphPlan() if planned else None
+        for _ in range(2 if planned else 1):  # capture, then replay
+            with plan.step() if plan is not None else nullcontext():
+                x = Tensor(data, requires_grad=True, dtype=dtype)
+                out = x.leaky_relu(slope)
+                out.backward(g)
+            # bitwise, sign of zero included
+            assert out.data.tobytes() == (data * scale).tobytes()
+            assert x.grad.tobytes() == (g * scale).tobytes()
+
+    @pytest.mark.parametrize("slope", [-0.1, 0.0, 1.5])
+    def test_leaky_relu_rejects_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError):
+            Tensor([1.0, -1.0]).leaky_relu(slope)
+
     def test_log_gradient(self, rng):
         x_data = rng.uniform(0.5, 3.0, size=(3, 3))
         _check_unary(lambda t: t.log(), x_data)

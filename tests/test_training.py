@@ -138,7 +138,12 @@ class TestTrainer:
         [
             (0, (), 3),  # epoch-aligned: the last epoch's evaluation is the final one
             (1, (), 4),  # truncated: the final model needs its own evaluation
-            (0, (LRRecorder(),), 4),  # a registered callback forces the final one
+            # a callback overriding on_epoch_end may change the model there,
+            # so it forces the final one
+            (0, (EarlyStopping(monitor="error", patience=100),), 4),
+            # callbacks without that hook leave the last evaluation valid
+            (0, (LRRecorder(),), 3),
+            (0, (LossNaNGuard(),), 3),
         ],
     )
     def test_final_evaluation_reuses_last_epoch_evaluation(self, extra_steps, callbacks, expected):
