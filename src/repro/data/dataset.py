@@ -76,7 +76,9 @@ class DataLoader:
     """Mini-batch iterator with optional shuffling.
 
     Batches are assembled by stacking the per-sample arrays, so a dataset
-    yielding ``(image, label)`` produces batches ``(images, labels)``.
+    yielding ``(image, label)`` produces batches ``(images, labels)``.  An
+    :class:`ArrayDataset`, or a :class:`Subset` of one, is collated with one
+    fancy-index gather per field instead, which yields the same bytes.
     """
 
     def __init__(
@@ -108,12 +110,25 @@ class DataLoader:
         n = len(self.dataset)
         order = self._rng.permutation(n) if self.shuffle else np.arange(n)
         self._epoch += 1
+        arrays, base = _array_source(self.dataset)
         for start in range(0, n, self.batch_size):
             idx = order[start : start + self.batch_size]
             if self.drop_last and len(idx) < self.batch_size:
                 return
-            samples = [self.dataset[int(i)] for i in idx]
-            num_fields = len(samples[0])
-            yield tuple(
-                np.stack([sample[f] for sample in samples], axis=0) for f in range(num_fields)
-            )
+            if arrays is None:
+                samples = [self.dataset[int(i)] for i in idx]
+                yield tuple(np.stack(field) for field in zip(*samples))
+            else:
+                rows = idx if base is None else base[idx]
+                yield tuple(a[rows] for a in arrays)
+
+
+def _array_source(dataset: Dataset) -> tuple[tuple[np.ndarray, ...] | None, np.ndarray | None]:
+    """The arrays and composed row indices behind an ArrayDataset or (nested) Subset of one."""
+    indices = None
+    while isinstance(dataset, Subset):
+        indices = dataset.indices if indices is None else dataset.indices[indices]
+        dataset = dataset.dataset
+    if isinstance(dataset, ArrayDataset):
+        return dataset.arrays, indices
+    return None, None

@@ -43,8 +43,10 @@ __all__ = [
 #: recomputed rather than risk a stale float32-era hit; v4: BatchNorm and
 #: LayerNorm train through one fused node with a closed-form backward, whose
 #: gradients round differently from the composed ops', so a cached record
-#: must not mix old-numerics bits with new ones)
-FINGERPRINT_VERSION = 4
+#: must not mix old-numerics bits with new ones; v5: convolution runs one
+#: batch-innermost GEMM per seed and the detection loss is one node with a
+#: closed-form backward, so gradients round differently again)
+FINGERPRINT_VERSION = 5
 
 
 def _canonical(value: Any) -> Any:

@@ -1,13 +1,16 @@
 """Functional neural-network operations built on :class:`repro.nn.tensor.Tensor`.
 
-Convolution and pooling use im2col so the heavy lifting stays inside numpy's
-BLAS-backed matmul (per the project's "vectorize, don't loop" guideline).
+Convolution gathers its taps into batch-innermost columns, so each seed's
+forward pass and both gradients are one BLAS GEMM each (see :func:`conv2d`);
+pooling unfolds windows with :func:`im2col` and folds gradients back with
+:func:`col2im` (per the project's "vectorize, don't loop" guideline).
 
-Every workspace here (im2col/col2im buffers, GEMM outputs, dropout masks,
-scatter targets) is drawn from the active :class:`~repro.nn.plan.GraphPlan`'s
-arena when a trainer has one active, so the steady-state training step reuses
-the same memory instead of re-allocating it; with no plan the identical
-kernels run with fresh allocations and produce bitwise-identical values.
+Every workspace here (conv columns, im2col/col2im buffers, GEMM outputs,
+dropout masks, scatter targets) is drawn from the active
+:class:`~repro.nn.plan.GraphPlan`'s arena when a trainer has one active, so
+the steady-state training step reuses the same memory instead of
+re-allocating it; with no plan the identical kernels run with fresh
+allocations and produce bitwise-identical values.
 """
 
 from __future__ import annotations
@@ -164,7 +167,7 @@ def _gemm(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# im2col-based convolution
+# convolution (batch-innermost GEMM kernel) and the im2col/col2im pooling uses
 # ---------------------------------------------------------------------------
 
 def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -240,84 +243,6 @@ def col2im(
     return padded
 
 
-def _conv2d_batched(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None,
-    stride: int,
-    padding: int,
-) -> Tensor:
-    """Seed-batched convolution: (S, N, C, H, W) input, (S, O, C, kh, kw) weight.
-
-    One **stacked GEMM** covers all S seeds: the (S·N)-image batch goes
-    through a single im2col, and one broadcast ``np.matmul`` of
-    ``(S, 1, O, F) @ (S, N, F, P)`` dispatches S·N BLAS GEMMs of exactly the
-    serial path's shapes — so each seed's slice stays bitwise identical to
-    its stand-alone run while the python/graph dispatch is paid once.  (The
-    previous implementation chunked im2col/GEMM/col2im per seed in a python
-    loop, which made seed-batching *slower* than serial for conv models.)
-    The im2col/col2im workspaces and GEMM outputs are arena-staged, shared
-    with the serial path's buffers via :mod:`repro.nn.plan`.
-    """
-    if x.ndim != 5:
-        raise ValueError(f"seed-batched conv2d expects (S, N, C, H, W) input, got {x.shape}")
-    s, n, c, h, w = x.shape
-    _, out_c, in_c, kh, kw = weight.shape
-    if in_c != c:
-        raise ValueError(f"input has {c} channels but weight expects {in_c}")
-
-    feat = c * kh * kw
-    x_flat = x.data.reshape(s * n, c, h, w)
-    cols, out_h, out_w = im2col(x_flat, kh, kw, stride, padding)
-    pos = out_h * out_w
-    cols4 = cols.reshape(s, n, feat, pos)
-    w_mats = weight.data.reshape(s, 1, out_c, feat)
-    out_data = _gemm(w_mats, cols4, (s, n, out_c, pos))
-    out_data = out_data.reshape(s, n, out_c, out_h, out_w)
-    if bias is not None:
-        out_data += bias.data.reshape(s, 1, out_c, 1, 1)
-
-    requires_grad = x.requires_grad or weight.requires_grad or (
-        bias is not None and bias.requires_grad
-    )
-    prev = (x, weight) + ((bias,) if bias is not None else ())
-    out = Tensor(out_data, requires_grad=requires_grad, _prev=prev)
-
-    def _backward() -> None:
-        if out.grad is None:
-            return
-        grad_out = out.grad.reshape(s, n, out_c, pos)
-        if bias is not None and bias.requires_grad:
-            # tiny per-seed reduction loop: keeps each seed's summation order
-            # exactly the serial path's
-            grad_b = np.empty((s, out_c), dtype=grad_out.dtype)
-            for i in range(s):
-                grad_b[i] = grad_out[i].sum(axis=(0, 2))
-            bias._accumulate(grad_b, own=True)
-        if weight.requires_grad:
-            prod = _gemm(grad_out, cols4.transpose(0, 1, 3, 2), (s, n, out_c, feat))
-            grad_w = _empty((s, out_c, feat), prod.dtype)
-            for i in range(s):
-                np.sum(prod[i], axis=0, out=grad_w[i])
-            weight._accumulate(grad_w.reshape(weight.shape), own=True)
-        if x.requires_grad:
-            w_t = w_mats.transpose(0, 1, 3, 2)
-            grad_cols = _gemm(w_t, grad_out, (s, n, feat, pos))
-            folded = col2im(
-                grad_cols.reshape(s * n, feat, pos), (s * n, c, h, w), kh, kw, stride, padding
-            )
-            if folded.flags.c_contiguous:
-                grad_x = folded.reshape(s, n, c, h, w)
-            else:
-                grad_x = _empty((s, n, c, h, w), folded.dtype)
-                np.copyto(grad_x.reshape(s * n, c, h, w), folded)
-            x._accumulate(grad_x, own=True)
-
-    out._backward = _backward
-    _plan.tag(out, "conv2d_batched")
-    return out
-
-
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -325,34 +250,58 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """2D convolution for NCHW input and (out_c, in_c, kh, kw) weights.
+    """2D convolution of NCHW input with (out_c, in_c, kh, kw) weights.
 
-    With a seed-stacked weight (``weight.seed_dim = S``) the input carries a
-    leading seed axis and the work is dispatched as one stacked GEMM; see
-    :func:`_conv2d_batched`.
+    A seed-stacked weight (``weight.seed_dim = S``, shape (S, O, C, kh, kw))
+    convolves an (S, N, C, H, W) input; serial input is the S = 1 case of the
+    same batch-innermost kernel.  The input is transposed once into a padded
+    (S, C, H+2p, W+2p, N) buffer (only the pad border is zeroed), one strided
+    copy gathers the kh·kw taps into (S, C·kh·kw, P·N) columns, and the
+    forward pass, the weight gradient (K = P·N) and the data gradient are one
+    GEMM per seed each, so every seed runs exactly its serial call's GEMMs and
+    reductions.  The data gradient folds back tap by tap into a padded
+    batch-innermost buffer, transposed back to NCHW.  The columns are checked
+    out before the output registers, so a plan's ``alias`` pass keeps them
+    alive until this node's backward.
     """
     if weight.seed_dim is not None:
-        return _conv2d_batched(x, weight, bias, stride, padding)
-    if x.ndim != 4:
-        raise ValueError(f"conv2d expects NCHW input, got shape {x.shape}")
-    if weight.ndim != 4:
-        raise ValueError(f"conv2d expects 4D weight, got shape {weight.shape}")
-    n, c, h, w = x.shape
-    out_c, in_c, kh, kw = weight.shape
+        if x.ndim != 5:
+            raise ValueError(f"seed-batched conv2d expects (S, N, C, H, W) input, got {x.shape}")
+        s, n, c, h, w = x.shape
+        _, out_c, in_c, kh, kw = weight.shape
+    else:
+        if x.ndim != 4:
+            raise ValueError(f"conv2d expects NCHW input, got shape {x.shape}")
+        if weight.ndim != 4:
+            raise ValueError(f"conv2d expects 4D weight, got shape {weight.shape}")
+        s = 1
+        n, c, h, w = x.shape
+        out_c, in_c, kh, kw = weight.shape
     if in_c != c:
         raise ValueError(f"input has {c} channels but weight expects {in_c}")
+    out_h, out_w = _conv_output_size(h, kh, stride, padding), _conv_output_size(w, kw, stride, padding)
+    feat, cols_n = c * kh * kw, out_h * out_w * n
+    p, hp, wp = padding, h + 2 * padding, w + 2 * padding
 
-    cols, out_h, out_w = im2col(x.data, kh, kw, stride, padding)
-    feat = c * kh * kw
-    pos = out_h * out_w
-    w_mat = weight.data.reshape(out_c, feat)
-    # Batched matmul instead of einsum: (o,f) @ (n,f,p) dispatches to BLAS,
-    # which is the difference between C loops and vectorised kernels on the
-    # hottest op of every conv model.
-    out_data = _gemm(w_mat, cols, (n, out_c, pos))
-    out_data = out_data.reshape(n, out_c, out_h, out_w)
+    a = x.data
+    padded = _empty((s, c, hp, wp, n), a.dtype)
+    if p:
+        padded[:, :, :p] = padded[:, :, hp - p:] = padded[:, :, :, :p] = padded[:, :, :, wp - p:] = 0
+    padded[:, :, p:p + h, p:p + w] = a.reshape(s, n, c, h, w).transpose(0, 2, 3, 4, 1)
+    s0, s1, s2, s3, s4 = padded.strides
+    taps = np.lib.stride_tricks.as_strided(padded, (s, c, kh, kw, out_h, out_w, n), (
+        s0, s1, s2, s3, s2 * stride, s3 * stride, s4), writeable=False)
+    cols = _empty((s, feat, cols_n), a.dtype)
+    np.copyto(cols.reshape(taps.shape), taps)
+    w_mats = weight.data.reshape(s, out_c, feat)
+    prod = _gemm(w_mats, cols, (s, out_c, cols_n))
+    out_data = _empty(a.shape[:-3] + (out_c, out_h, out_w), prod.dtype)
+    nchw = prod.reshape(s, out_c, out_h, out_w, n).transpose(0, 4, 1, 2, 3)
+    out5 = out_data.reshape(s, n, out_c, out_h, out_w)
     if bias is not None:
-        out_data += bias.data.reshape(1, out_c, 1, 1)
+        np.add(nchw, bias.data.reshape(s, 1, out_c, 1, 1), out=out5)
+    else:
+        np.copyto(out5, nchw)
 
     requires_grad = x.requires_grad or weight.requires_grad or (
         bias is not None and bias.requires_grad
@@ -361,23 +310,29 @@ def conv2d(
     out = Tensor(out_data, requires_grad=requires_grad, _prev=prev)
 
     def _backward() -> None:
-        if out.grad is None:
+        g = out.grad
+        if g is None:
             return
-        grad_out = out.grad.reshape(n, out_c, pos)
+        grad_out = _empty((s, out_c, cols_n), g.dtype)
+        g5 = g.reshape(s, n, out_c, out_h, out_w)
+        np.copyto(grad_out.reshape(s, out_c, out_h, out_w, n), g5.transpose(0, 2, 3, 4, 1))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_out.sum(axis=(0, 2)), own=True)
+            bias._accumulate(grad_out.sum(axis=2).reshape(bias.shape), own=True)
         if weight.requires_grad:
-            # sum_n grad_out[n] @ cols[n].T, again as a BLAS batched matmul
-            prod = _gemm(grad_out, cols.transpose(0, 2, 1), (n, out_c, feat))
-            plan = _plan.ACTIVE
-            if plan is not None:
-                grad_w = np.sum(prod, axis=0, out=plan.checkout((out_c, feat), prod.dtype))
-            else:
-                grad_w = prod.sum(axis=0)
+            grad_w = _gemm(grad_out, cols.transpose(0, 2, 1), (s, out_c, feat))
             weight._accumulate(grad_w.reshape(weight.shape), own=True)
         if x.requires_grad:
-            grad_cols = _gemm(w_mat.T, grad_out, (n, feat, pos))
-            grad_x = col2im(grad_cols, (n, c, h, w), kh, kw, stride, padding)
+            grad_cols = _gemm(w_mats.transpose(0, 2, 1), grad_out, (s, feat, cols_n))
+            grad_taps = grad_cols.reshape(s, c, kh, kw, out_h, out_w, n)
+            folded = _zeros((s, c, hp, wp, n), grad_cols.dtype)
+            for i in range(kh):
+                i_end = i + stride * out_h
+                for j in range(kw):
+                    j_end = j + stride * out_w
+                    folded[:, :, i:i_end:stride, j:j_end:stride] += grad_taps[:, :, i, j]
+            grad_x = _empty(a.shape, folded.dtype)
+            interior = folded[:, :, p:p + h, p:p + w]
+            np.copyto(grad_x.reshape(s, n, c, h, w), interior.transpose(0, 4, 1, 2, 3))
             x._accumulate(grad_x, own=True)
 
     out._backward = _backward

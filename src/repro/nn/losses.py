@@ -4,14 +4,18 @@
 * MSE — GLUE regression task (STS-B proxy)
 * binary cross-entropy — objectness in the detection proxy
 * VAE ELBO (reconstruction + KL) — the VAE-MNIST setting
-* detection loss — box regression + objectness + classification composite
+* detection loss — box regression + objectness + classification, one graph node
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.nn.functional import one_hot
+from repro.nn import plan as _plan
+from repro.nn.dtype import active_emulation
+from repro.nn.functional import _empty, one_hot
 from repro.nn.tensor import Tensor
 
 __all__ = [
@@ -144,70 +148,80 @@ def detection_loss(
     box_weight: float = 5.0,
     noobj_weight: float = 0.5,
 ) -> Tensor:
-    """Single-shot detector loss for a grid of predictions.
+    """YOLO-style single-shot detector loss on a grid, as one graph node.
 
-    ``predictions`` has shape (N, G, G, 5 + num_classes) with channels
-    ``[tx, ty, tw, th, objectness, class logits...]``; ``targets`` has the same
-    shape with a 0/1 objectness channel.  This mirrors the YOLO-style loss
-    structure (box regression + objectness + classification) at proxy scale.
-
-    Seed-batched predictions (S, N, G, G, 5+C) produce an (S,) loss; the
-    object-count normalisers are then per-seed vectors, so each seed's loss is
-    exactly the scalar its own serial run would compute.
+    ``predictions`` (N, G, G, 5+C) holds ``[tx, ty, tw, th, objectness z,
+    class logits...]``; ``targets`` has the same shape with a 0/1 objectness
+    channel ``m``.  The loss is ``w_box/n_obj·Σ(m·(p_box − t_box))²`` plus the
+    objectness BCE ``1/n_cells·Σ w·(max(z, 0) − z·m + log(1 + exp(−|z|)))``
+    (``w = noobj_weight`` off objects) plus ``−1/n_obj·Σ log_softmax(p_cls)·t_cls·m``.
+    The forward runs the composed ops' ufunc sequence, so its values are theirs;
+    the backward is closed form: ``2·w_box/n_obj·g·m·(p_box − t_box)``,
+    ``g/n_cells·w·(σ(z) − m)`` and ``g/n_obj·(softmax(p_cls)·Σ(t_cls·m) − t_cls·m)``.
+    Seed-batched predictions (S, N, G, G, 5+C) give an (S,) loss whose sums
+    and object counts reduce per seed, so each seed's loss is bitwise its
+    serial run's.
     """
     batched = predictions.seed_dim is not None
     if predictions.ndim != (5 if batched else 4):
         expected = "(S, N, G, G, 5+C)" if batched else "(N, G, G, 5+C)"
         raise ValueError(f"detection_loss expects {expected}, got {predictions.shape}")
-    targets = np.asarray(targets, dtype=predictions.data.dtype)
-    if targets.shape != predictions.shape:
-        raise ValueError(
-            f"target shape {targets.shape} does not match predictions {predictions.shape}"
-        )
-    obj_mask = targets[..., 4:5]  # (..., G, G, 1)
-    if batched:
-        reduce_axes: tuple[int, ...] = (1, 2, 3, 4)
-        n_cells = float(np.prod(predictions.shape[1:4]))
-        n_obj = np.maximum(obj_mask.sum(axis=reduce_axes), 1.0)  # (S,)
-        dtype = predictions.data.dtype
+    p, dt = predictions.data, predictions.data.dtype
+    t = np.asarray(targets, dtype=dt)
+    if t.shape != p.shape:
+        raise ValueError(f"target shape {t.shape} does not match predictions {p.shape}")
+    emulation = active_emulation()
+    if emulation is not None and dt == emulation.storage:
+        t = emulation.quantize(t)  # targets enter the loss as leaf data
+    axes = (1, 2, 3, 4) if batched else None
+    m = t[..., 4:5]
+    n_obj = np.maximum(m.sum(axis=axes), 1.0).astype(np.float64)
+    box_scale, cls_scale = (box_weight / n_obj).astype(dt), (1.0 / n_obj).astype(dt)
+    cells_scale = dt.type(1.0 / math.prod(p.shape[-4:-1]))
 
-        def _scaled(term_sum: Tensor, scale: np.ndarray | float) -> Tensor:
-            # Match the serial path's arithmetic: the python-float scale is
-            # computed in float64 and cast once to the prediction dtype.
-            return term_sum * Tensor(np.asarray(scale, dtype=np.float64), dtype=dtype)
-    else:
-        reduce_axes = ()
-        n_cells = float(np.prod(predictions.shape[:3]))
-        n_obj = max(float(obj_mask.sum()), 1.0)
+    # every workspace the backward reads is checked out before ``out`` registers
+    box_diff = np.subtract(p[..., 0:4], t[..., 0:4], out=_empty(p.shape[:-1] + (4,), dt))
+    box_diff *= m
+    box_sum = np.multiply(box_diff, box_diff, out=_empty(box_diff.shape, dt)).sum(axis=axes)
 
-    pred_boxes = predictions[..., 0:4]
-    pred_obj = predictions[..., 4:5]
-    pred_cls = predictions[..., 5:]
+    z = p[..., 4:5]
+    bce, tmp, e, e_plus_1, w_obj = (_empty(z.shape, dt) for _ in range(5))
+    np.maximum(z, 0, out=bce)
+    bce -= np.multiply(z, m, out=tmp)
+    np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
+    bce += np.log(np.add(e, 1.0, out=e_plus_1), out=tmp)
+    w_obj.fill(noobj_weight)
+    np.copyto(w_obj, 1.0, where=m > 0.5)
+    obj_sum = np.multiply(bce, w_obj, out=bce).sum(axis=axes)
 
-    box_diff = (pred_boxes - Tensor(targets[..., 0:4])) * Tensor(obj_mask)
-    box_sq = box_diff * box_diff
+    logits = p[..., 5:]
+    log_probs, tmp, q = (_empty(logits.shape, dt) for _ in range(3))
+    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=log_probs)
+    log_probs -= np.log(np.sum(np.exp(log_probs, out=tmp), axis=-1, keepdims=True))
+    cls_sum = np.multiply(log_probs, np.multiply(t[..., 5:], m, out=q), out=tmp).sum(axis=axes)
 
-    # Objectness BCE, weighting no-object cells down as in YOLO.
-    t_obj = obj_mask
-    relu_x = pred_obj.relu()
-    abs_x = pred_obj.abs()
-    bce = relu_x - pred_obj * Tensor(t_obj) + ((-abs_x).exp() + 1.0).log()
-    weights = np.where(obj_mask > 0.5, 1.0, noobj_weight).astype(targets.dtype)
-    weighted_bce = bce * Tensor(weights, dtype=targets.dtype)
+    value = box_sum * box_scale + obj_sum * cells_scale + np.negative(cls_sum) * cls_scale
+    out = Tensor(np.asarray(value), requires_grad=predictions.requires_grad, _prev=(predictions,))
 
-    # Classification cross-entropy only on object cells.
-    cls_targets = targets[..., 5:]
-    log_probs = pred_cls.log_softmax(axis=-1)
-    cls_prod = log_probs * Tensor(cls_targets * obj_mask)
+    def _backward() -> None:
+        g = out.grad
+        if g is None:
+            return
+        seed_shape = p.shape[:-4] + (1, 1, 1, 1)
+        grad = _empty(p.shape, g.dtype)
+        box_grad = np.multiply(box_diff, m, out=grad[..., 0:4])
+        box_grad *= (2 * box_scale * g).reshape(seed_shape)
+        obj_grad = np.divide(e, e_plus_1, out=grad[..., 4:5])  # σ(−|z|)
+        np.subtract(1, obj_grad, out=obj_grad, where=z >= 0)  # σ(z)
+        obj_grad -= m
+        obj_grad *= w_obj
+        obj_grad *= (cells_scale * g).reshape(seed_shape)
+        cls_grad = np.exp(log_probs, out=grad[..., 5:])
+        cls_grad *= q.sum(axis=-1, keepdims=True)
+        cls_grad -= q
+        cls_grad *= (cls_scale * g).reshape(seed_shape)
+        predictions._accumulate(grad, own=True)
 
-    if batched:
-        box_term = _scaled(box_sq.sum(axis=reduce_axes), box_weight / n_obj)
-        obj_term = _scaled(weighted_bce.sum(axis=reduce_axes), 1.0 / n_cells)
-        cls_term = _scaled(-(cls_prod.sum(axis=reduce_axes)), 1.0 / n_obj)
-        return box_term + obj_term + cls_term
-
-    box_term = box_sq.sum() * (box_weight / n_obj)
-    obj_term = weighted_bce.sum() * (1.0 / n_cells)
-    cls_term = -(log_probs * Tensor(cls_targets * obj_mask)).sum() * (1.0 / n_obj)
-
-    return box_term + obj_term + cls_term
+    out._backward = _backward
+    _plan.tag(out, "detection_loss")
+    return out

@@ -185,8 +185,7 @@ class BatchedTrainer:
 
     ``plan`` mirrors :class:`~repro.training.trainer.Trainer`'s graph-planning
     switch (``None`` defers to ``REPRO_PLAN``): the stacked step's buffers —
-    including the shared (S·N)-batch im2col/GEMM workspaces of the batched
-    conv kernels — are captured once and reused on every later step.
+    including the conv kernel's column and GEMM workspaces — are captured once and reused on every later step.
     ``plan_passes`` mirrors the serial trainer's compiler-pass selection
     (``None`` defers to ``REPRO_PLAN_PASSES``).
     """

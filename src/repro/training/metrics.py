@@ -140,6 +140,22 @@ def box_iou(box_a: np.ndarray, box_b: np.ndarray) -> float:
     return float(inter / union)
 
 
+def _box_iou_rows(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
+    """:func:`box_iou` of each row pair of two (K, 4) arrays, bitwise: python's
+    ``min``/``max`` become selects, as ``max(0.0, nan)`` is 0.0, not nan."""
+    a0, a1, a2, a3 = boxes_a.T
+    b0, b1, b2, b3 = boxes_b.T
+    ax0, ay0 = a0 - a2 / 2, a1 - a3 / 2
+    ax1, ay1 = a0 + a2 / 2, a1 + a3 / 2
+    bx0, by0 = b0 - b2 / 2, b1 - b3 / 2
+    bx1, by1 = b0 + b2 / 2, b1 + b3 / 2
+    inter_w = np.where(bx1 < ax1, bx1, ax1) - np.where(bx0 > ax0, bx0, ax0)
+    inter_h = np.where(by1 < ay1, by1, ay1) - np.where(by0 > ay0, by0, ay0)
+    inter = np.where(inter_w > 0.0, inter_w, 0.0) * np.where(inter_h > 0.0, inter_h, 0.0)
+    union = a2 * a3 + b2 * b3 - inter
+    return np.divide(inter, union, out=np.zeros_like(union), where=~(union <= 0))
+
+
 def detection_average_precision(
     predictions: np.ndarray,
     targets: np.ndarray,
@@ -172,18 +188,12 @@ def detection_average_precision(
     if total_positives == 0:
         return 0.0
 
-    flat_scores = obj_scores.reshape(-1)
-    order = np.argsort(-flat_scores)
-    tp_flags = np.zeros(len(order), dtype=bool)
-    idx_grid = np.stack(np.unravel_index(order, obj_scores.shape), axis=1)
-    for rank, (i, gy, gx) in enumerate(idx_grid):
-        if not target_has_obj[i, gy, gx]:
-            continue
-        if pred_classes[i, gy, gx] != target_classes[i, gy, gx]:
-            continue
-        iou = box_iou(predictions[i, gy, gx, :4], targets[i, gy, gx, :4])
-        if iou >= iou_threshold:
-            tp_flags[rank] = True
+    order = np.argsort(-obj_scores.reshape(-1))
+    candidates = target_has_obj & (pred_classes == target_classes)
+    hits = np.zeros(obj_scores.shape, dtype=bool)
+    ious = _box_iou_rows(predictions[candidates, :4], targets[candidates, :4])
+    hits[candidates] = ious >= iou_threshold
+    tp_flags = hits.reshape(-1)[order]
 
     tp_cum = np.cumsum(tp_flags)
     fp_cum = np.cumsum(~tp_flags)

@@ -84,6 +84,39 @@ class TestArrayDatasetAndLoader:
         with pytest.raises(ValueError):
             DataLoader(ds, batch_size=0)
 
+    @pytest.mark.parametrize("kind", ["array", "subset", "nested_subset", "transformed"])
+    def test_collation_is_bytewise_the_per_sample_stack(self, kind):
+        rng = np.random.default_rng(5)
+        base = ArrayDataset(
+            rng.standard_normal((23, 3, 4, 4)).astype(np.float32), rng.integers(0, 9, size=23)
+        )
+        dataset = {
+            "array": base,
+            "subset": Subset(base, rng.permutation(23)[:17]),
+            "nested_subset": Subset(Subset(base, rng.permutation(23)[:19]), [4, 0, 7, 2, 11, 9]),
+            "transformed": TransformedDataset(base, RandomHorizontalFlip(0.5), seed=2),
+        }[kind]
+        loader = DataLoader(dataset, batch_size=5, shuffle=True, seed=9)
+        # the reference collates sample by sample, as every dataset kind can,
+        # in the order a twin loader's shuffle stream gives
+        twin = DataLoader(dataset, batch_size=5, shuffle=True, seed=9)
+        for _epoch in range(2):
+            order = twin._rng.permutation(len(dataset))
+            if kind == "transformed":
+                dataset._rng = np.random.default_rng(0)
+            expected = []
+            for start in range(0, len(order), 5):
+                samples = [dataset[int(i)] for i in order[start : start + 5]]
+                expected.append(tuple(np.stack(field) for field in zip(*samples)))
+            if kind == "transformed":
+                dataset._rng = np.random.default_rng(0)
+            got = list(loader)
+            assert len(got) == len(expected)
+            for batch, want in zip(got, expected):
+                assert [a.dtype for a in batch] == [a.dtype for a in want]
+                assert [a.shape for a in batch] == [a.shape for a in want]
+                assert [a.tobytes() for a in batch] == [a.tobytes() for a in want]
+
 
 class TestSyntheticImages:
     def test_generator_shapes_and_determinism(self):

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from repro.nn import functional as F
+from repro.nn.dtype import default_dtype
+from repro.nn.plan import GraphPlan
 from repro.nn.tensor import Tensor
 
 from gradcheck import assert_grad_close, numerical_gradient
 
 
 def naive_conv2d(x, w, b, stride, padding):
-    """Straightforward loop reference used to validate the im2col implementation."""
+    """Straightforward loop reference used to validate the convolution kernel."""
     n, c, h, wdt = x.shape
     oc, ic, kh, kw = w.shape
     if padding:
@@ -31,6 +35,16 @@ def naive_conv2d(x, w, b, stride, padding):
     return out
 
 
+#: (kernel, stride, padding) geometries the conv kernel is checked on
+CONV_GEOMETRIES = [(1, 1, 0), (1, 2, 0), (3, 1, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1), (2, 2, 0)]
+
+
+def _stacked(array: np.ndarray, **kwargs) -> Tensor:
+    tensor = Tensor(array, **kwargs)
+    tensor.seed_dim = array.shape[0]
+    return tensor
+
+
 class TestConv2d:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
     def test_matches_naive_reference(self, rng, stride, padding):
@@ -39,6 +53,95 @@ class TestConv2d:
         b = rng.standard_normal(4)
         out = F.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
         np.testing.assert_allclose(out.data, naive_conv2d(x, w, b, stride, padding), atol=1e-10)
+
+    @pytest.mark.parametrize("kernel,stride,padding", CONV_GEOMETRIES)
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_matches_naive_reference_every_geometry(self, rng, kernel, stride, padding, with_bias):
+        x = rng.standard_normal((2, 3, 6, 5))
+        w = rng.standard_normal((4, 3, kernel, kernel))
+        b = rng.standard_normal(4) if with_bias else None
+        out = F.conv2d(
+            Tensor(x), Tensor(w), None if b is None else Tensor(b), stride=stride, padding=padding
+        )
+        np.testing.assert_allclose(out.data, naive_conv2d(x, w, b, stride, padding), atol=1e-10)
+
+    @pytest.mark.parametrize("kernel,stride,padding", CONV_GEOMETRIES)
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_gradcheck_float64(self, rng, kernel, stride, padding, with_bias):
+        x_data = rng.standard_normal((2, 2, 5, 6))
+        w_data = rng.standard_normal((3, 2, kernel, kernel))
+        b_data = rng.standard_normal(3) if with_bias else None
+        out_shape = F.conv2d(Tensor(x_data), Tensor(w_data), None, stride, padding).shape
+        proj = rng.standard_normal(out_shape)
+
+        def loss(x_arr, w_arr, b_arr):
+            b = None if b_arr is None else Tensor(b_arr)
+            return float((F.conv2d(Tensor(x_arr), Tensor(w_arr), b, stride, padding).data * proj).sum())
+
+        x = Tensor(x_data, requires_grad=True)
+        w = Tensor(w_data, requires_grad=True)
+        b = None if b_data is None else Tensor(b_data, requires_grad=True)
+        F.conv2d(x, w, b, stride, padding).backward(proj)
+        assert_grad_close(x.grad, numerical_gradient(lambda a: loss(a, w_data, b_data), x_data.copy()))
+        assert_grad_close(w.grad, numerical_gradient(lambda a: loss(x_data, a, b_data), w_data.copy()))
+        if b is not None:
+            assert_grad_close(b.grad, numerical_gradient(lambda a: loss(x_data, w_data, a), b_data.copy()))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "bfloat16", "float16"])
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 1), (3, 2, 1), (1, 1, 0)])
+    def test_seed_stacked_is_bitwise_serial(self, rng, dtype, kernel, stride, padding):
+        num_seeds = 3
+        x_data = rng.standard_normal((num_seeds, 2, 3, 6, 6))
+        w_data = rng.standard_normal((num_seeds, 4, 3, kernel, kernel))
+        b_data = rng.standard_normal((num_seeds, 4))
+        with default_dtype(dtype):
+            x = _stacked(x_data, requires_grad=True)
+            w = _stacked(w_data, requires_grad=True)
+            b = _stacked(b_data, requires_grad=True)
+            out = F.conv2d(x, w, b, stride, padding)
+            grad = rng.standard_normal(out.shape).astype(out.data.dtype)
+            out.backward(grad)
+            for s in range(num_seeds):
+                xs = Tensor(x_data[s], requires_grad=True)
+                ws = Tensor(w_data[s], requires_grad=True)
+                bs = Tensor(b_data[s], requires_grad=True)
+                serial = F.conv2d(xs, ws, bs, stride, padding)
+                serial.backward(grad[s])
+                for stacked_arr, serial_arr in [
+                    (out.data, serial.data), (x.grad, xs.grad), (w.grad, ws.grad), (b.grad, bs.grad)
+                ]:
+                    assert stacked_arr[s].tobytes() == serial_arr.tobytes()
+
+    @pytest.mark.parametrize("passes", ["default", "all"])
+    def test_planned_is_bitwise_unplanned(self, rng, passes):
+        x_data = rng.standard_normal((4, 3, 8, 8))
+        w1_data = rng.standard_normal((5, 3, 3, 3))
+        b1_data = rng.standard_normal(5)
+        w2_data = rng.standard_normal((2, 5, 1, 1))
+        proj = rng.standard_normal((4, 2, 4, 4))
+
+        def run(plan):
+            x = Tensor(x_data, requires_grad=True)
+            params = [Tensor(a.copy(), requires_grad=True) for a in (w1_data, b1_data, w2_data)]
+            seen = []
+            for _ in range(3):
+                with plan.step() if plan is not None else nullcontext():
+                    for t in (x, *params):
+                        t.zero_grad()
+                    hidden = F.conv2d(x, params[0], params[1], stride=2, padding=1).leaky_relu(0.1)
+                    out = F.conv2d(hidden, params[2])
+                    (out * Tensor(proj)).sum().backward()
+                    seen.append([out.data.copy(), x.grad.copy()] + [p.grad.copy() for p in params])
+                    for p in params:
+                        p.data -= 0.01 * p.grad
+            return seen
+
+        plan = GraphPlan(passes=passes)
+        planned, unplanned = run(plan), run(None)
+        assert plan.reused_checkouts > 0
+        for step_planned, step_unplanned in zip(planned, unplanned):
+            for a, b in zip(step_planned, step_unplanned):
+                assert a.tobytes() == b.tobytes()
 
     def test_gradients_numerical(self, rng):
         x_data = rng.standard_normal((1, 2, 5, 5))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn import losses
+from repro.nn.dtype import default_dtype
 from repro.nn.tensor import Tensor
 
 from gradcheck import assert_grad_close, numerical_gradient
@@ -158,3 +159,127 @@ class TestDetectionLoss:
             losses.detection_loss(Tensor(np.zeros((2, 3, 3))), targets, num_classes=3)
         with pytest.raises(ValueError):
             losses.detection_loss(Tensor(np.zeros((1, 3, 3, 8))), targets, num_classes=3)
+
+
+def _composite_detection_loss(predictions, targets, box_weight=5.0, noobj_weight=0.5):
+    """The detection loss composed from Tensor ops: the reference the one-node
+    kernel must match bitwise in its forward value."""
+    batched = predictions.seed_dim is not None
+    targets = np.asarray(targets, dtype=predictions.data.dtype)
+    dtype = predictions.data.dtype
+    obj_mask = targets[..., 4:5]
+    if batched:
+        axes = (1, 2, 3, 4)
+        n_cells = float(np.prod(predictions.shape[1:4]))
+        n_obj = np.maximum(obj_mask.sum(axis=axes), 1.0)
+
+        def scaled(term, scale):
+            return term * Tensor(np.asarray(scale, dtype=np.float64), dtype=dtype)
+    else:
+        n_cells = float(np.prod(predictions.shape[:3]))
+        n_obj = max(float(obj_mask.sum()), 1.0)
+    box_diff = (predictions[..., 0:4] - Tensor(targets[..., 0:4])) * Tensor(obj_mask)
+    box_sq = box_diff * box_diff
+    pred_obj = predictions[..., 4:5]
+    bce = pred_obj.relu() - pred_obj * Tensor(obj_mask) + ((-pred_obj.abs()).exp() + 1.0).log()
+    weights = np.where(obj_mask > 0.5, 1.0, noobj_weight).astype(targets.dtype)
+    weighted_bce = bce * Tensor(weights, dtype=targets.dtype)
+    cls_prod = predictions[..., 5:].log_softmax(axis=-1) * Tensor(targets[..., 5:] * obj_mask)
+    if batched:
+        return (
+            scaled(box_sq.sum(axis=axes), box_weight / n_obj)
+            + scaled(weighted_bce.sum(axis=axes), 1.0 / n_cells)
+            + scaled(-(cls_prod.sum(axis=axes)), 1.0 / n_obj)
+        )
+    return (
+        box_sq.sum() * (box_weight / n_obj)
+        + weighted_bce.sum() * (1.0 / n_cells)
+        + -(cls_prod.sum()) * (1.0 / n_obj)
+    )
+
+
+def _detection_batch(rng, num_seeds=None, n=4, g=3, c=3):
+    """Random predictions and targets with 0, 1 or several objects per image."""
+    lead = () if num_seeds is None else (num_seeds,)
+    preds = rng.standard_normal(lead + (n, g, g, 5 + c)) * 2.0
+    targets = np.zeros(lead + (n, g, g, 5 + c))
+    targets[..., 0:4] = rng.random(lead + (n, g, g, 4))
+    has_obj = rng.random(lead + (n, g, g)) < 0.3
+    targets[..., 4] = has_obj
+    cls = rng.integers(0, c, size=lead + (n, g, g))
+    np.put_along_axis(targets[..., 5:], cls[..., None], 1.0, axis=-1)
+    targets[..., 5:] *= has_obj[..., None]
+    return preds, targets
+
+
+def _stacked(array, **kwargs):
+    tensor = Tensor(array, **kwargs)
+    tensor.seed_dim = array.shape[0]
+    return tensor
+
+
+class TestDetectionLossNode:
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_gradcheck_float64(self, rng, stacked):
+        preds, targets = _detection_batch(rng, num_seeds=2 if stacked else None)
+        make = _stacked if stacked else Tensor
+        seed_grad = np.array([0.7, -1.3]) if stacked else np.array(0.7)
+
+        def value(arr):
+            return float((losses.detection_loss(make(arr), targets, 3).data * seed_grad).sum())
+
+        x = make(preds, requires_grad=True)
+        losses.detection_loss(x, targets, 3).backward(seed_grad)
+        assert_grad_close(x.grad, numerical_gradient(value, preds.copy()))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_forward_bitwise_equals_composite(self, rng, dtype, stacked):
+        preds, targets = _detection_batch(rng, num_seeds=3 if stacked else None)
+        make = _stacked if stacked else Tensor
+        with default_dtype(dtype):
+            fused = losses.detection_loss(make(preds), targets, 3)
+            composite = _composite_detection_loss(make(preds), targets)
+        assert fused.shape == composite.shape == ((3,) if stacked else ())
+        assert fused.data.dtype == composite.data.dtype
+        assert fused.data.tobytes() == composite.data.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "bfloat16", "float16"])
+    def test_seed_stacked_is_bitwise_serial(self, rng, dtype):
+        num_seeds = 3
+        preds, targets = _detection_batch(rng, num_seeds=num_seeds)
+        seed_grad = rng.standard_normal(num_seeds)
+        with default_dtype(dtype):
+            x = _stacked(preds, requires_grad=True)
+            loss = losses.detection_loss(x, targets, 3)
+            loss.backward(seed_grad.astype(loss.data.dtype))
+            for s in range(num_seeds):
+                xs = Tensor(preds[s], requires_grad=True)
+                serial = losses.detection_loss(xs, targets[s], 3)
+                serial.backward(np.asarray(seed_grad[s], dtype=serial.data.dtype))
+                assert loss.data[s].tobytes() == serial.data.tobytes()
+                assert x.grad[s].tobytes() == xs.grad.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_raises_seed_divergence(self):
+        from repro.data import DataLoader, StackedLoader
+        from repro.data.dataset import ArrayDataset
+        from repro.models.detector import TinyDetector
+        from repro.nn.batched import stack_modules
+        from repro.optim import Adam
+        from repro.training import BatchedTrainer, DetectionTask, SeedDivergence
+
+        rng = np.random.default_rng(3)
+        loaders = []
+        for s in range(2):
+            images = rng.standard_normal((4, 3, 8, 8))
+            if s == 1:
+                images[0, 0, 0, 0] = np.nan  # seed 1's loss turns non-finite
+            _, targets = _detection_batch(rng, n=4, g=2)
+            loaders.append(DataLoader(ArrayDataset(images, targets), batch_size=4))
+        model = stack_modules([TinyDetector(image_size=8, grid_size=2, seed=s) for s in range(2)])
+        trainer = BatchedTrainer(
+            model, Adam(model.parameters(), lr=1e-3), DetectionTask(), StackedLoader(loaders)
+        )
+        with pytest.raises(SeedDivergence, match="stable regime"):
+            trainer.fit(1)

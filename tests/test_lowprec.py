@@ -11,7 +11,8 @@ The tentpole invariants:
   trajectory pinned in ``golden/loss_scale.json``;
 * emulated-dtype cells fingerprint distinctly, and bumping
   FINGERPRINT_VERSION (3 for the dtype axis, 4 for the fused normalization
-  numerics) invalidates every pre-existing cache entry.
+  numerics, 5 for the batch-innermost convolution and the one-node
+  detection loss) invalidates every pre-existing cache entry.
 
 Regenerate the golden trajectory (after an *intentional* change) with::
 
@@ -378,8 +379,8 @@ class TestCacheInvalidation:
         config = RunConfig(
             setting="RN20-CIFAR10", schedule="rex", optimizer="sgdm", budget_fraction=0.25
         )
-        assert FINGERPRINT_VERSION == 4
-        assert fingerprint_payload(config)["version"] == 4
+        assert FINGERPRINT_VERSION == 5
+        assert fingerprint_payload(config)["version"] == 5
 
     def test_version_bump_invalidates_prior_entries(self, monkeypatch):
         # a pre-v3 cache entry must never be returned for a v3 config: the

@@ -126,3 +126,45 @@ class TestDetectionMetrics:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             M.detection_average_precision(np.zeros((1, 4, 4, 8)), np.zeros((2, 4, 4, 8)))
+
+    def test_vectorized_iou_is_bitwise_box_iou(self):
+        rng = np.random.default_rng(4)
+        boxes_a = rng.random((400, 4))
+        boxes_b = rng.random((400, 4))
+        boxes_b[:50] = boxes_a[:50]  # identical boxes
+        boxes_a[50:60, 2:] = 0.0  # zero-area against zero-area: union 0
+        boxes_b[50:60, 2:] = 0.0
+        boxes_a[60:70, 2] = -boxes_a[60:70, 2]  # negative widths: union <= 0
+        boxes_a[70:80, rng.integers(0, 4, size=10)] = np.nan
+        boxes_b[80:85, 0] = np.inf
+        boxes_b[85:90, 2] = np.inf
+        boxes_a[90:95, 3] = -np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = M._box_iou_rows(boxes_a, boxes_b)
+            want = np.array([M.box_iou(a, b) for a, b in zip(boxes_a, boxes_b)])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_average_precision_matches_per_candidate_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        targets = self._grid(n=12, seed=seed)
+        preds = targets + 0.3 * rng.standard_normal(targets.shape)
+        preds[..., 5:] += 0.5 * targets[..., 5:]
+        if seed == 3:
+            preds[0, ..., :4] = np.nan  # non-finite boxes never match
+        obj = targets[..., 4] > 0.5
+        scores = 1.0 / (1.0 + np.exp(-preds[..., 4]))
+        order = np.argsort(-scores.reshape(-1))
+        tp = np.zeros(len(order), dtype=bool)
+        for rank, (i, gy, gx) in enumerate(np.stack(np.unravel_index(order, scores.shape), axis=1)):
+            same_class = preds[i, gy, gx, 5:].argmax() == targets[i, gy, gx, 5:].argmax()
+            if obj[i, gy, gx] and same_class:
+                tp[rank] = M.box_iou(preds[i, gy, gx, :4], targets[i, gy, gx, :4]) >= 0.3
+        recalls = np.cumsum(tp) / obj.sum()
+        precisions = np.cumsum(tp) / np.arange(1, len(tp) + 1)
+        expected = 100.0 * sum(
+            float(precisions[recalls >= r].max()) if (recalls >= r).any() else 0.0
+            for r in np.linspace(0.0, 1.0, 11)
+        ) / 11.0
+        assert M.detection_average_precision(preds, targets, iou_threshold=0.3) == expected
