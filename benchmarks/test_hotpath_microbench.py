@@ -17,11 +17,10 @@ the perf trajectory:
   (S·N)-batch conv/pool GEMM keeps the conv-heavy ResNet-20 regime at or
   above serial speed (it was a 0.85x regression when conv was chunked per
   seed); the floor is asserted at >= 1.0.
-* **plan compiler passes** (:mod:`repro.nn.plan_passes`) — chain fusion on a
-  tanh-GELU MLP dense in fusible elementwise chains (``mlp_plan_fused``),
-  and buffer-lifetime aliasing on the conv-heavy ResNet-20 arena
-  (``resnet20_plan_aliased``, whose ``arena_reduction`` — distinct storage
-  vs per-position bytes — is a deterministic byte count, not a timing).
+* **plan compiler** (:mod:`repro.nn.plan_passes`) — buffer-lifetime aliasing
+  on the conv-heavy ResNet-20 arena (``resnet20_plan_aliased``, whose
+  ``arena_reduction`` — distinct storage vs per-position bytes — is a
+  deterministic byte count, not a timing).
 
 Scale follows ``REPRO_BENCH_SCALE`` (tiny/small/full) like the rest of the
 harness; speedup floors are only asserted at >= small scale, where the loop
@@ -258,86 +257,29 @@ def test_resnet20_planned_vs_unplanned():
 
 
 # ---------------------------------------------------------------------------
-# plan compiler passes: chain fusion (elementwise MLP) and buffer aliasing
+# plan compiler: buffer aliasing on the conv arena
 # ---------------------------------------------------------------------------
 
-class _GeluMLP(nn.Module):
-    """MLP with a tanh-GELU activation — dense in fusible elementwise chains."""
-
-    def __init__(self, seed: int = 0) -> None:
-        super().__init__()
-        from repro.utils.seeding import spawn_rng
-
-        rng = spawn_rng("gelu-mlp", seed=seed)
-        self.fc1 = nn.Linear(256, 256, rng=rng)
-        self.fc2 = nn.Linear(256, 256, rng=rng)
-        self.head = nn.Linear(256, 10, rng=rng)
-
-    @staticmethod
-    def _gelu(h):
-        return (h * 0.5) * ((h * 0.7978845608028654).tanh() + 1.0)
-
-    def forward(self, x):
-        h = self._gelu(self.fc1(x))
-        h = self._gelu(self.fc2(h))
-        return self.head(h)
-
-
-def _build_gelu_mlp():
-    rng = np.random.default_rng(0)
-    model = _GeluMLP(seed=0)
-    optimizer = build_optimizer("sgdm", model.parameters(), lr=0.01)
-    batches = [
-        (rng.standard_normal((64, 256)), rng.integers(0, 10, size=64)) for _ in range(4)
-    ]
-    loss_fn = lambda m, b: cross_entropy(m(nn.Tensor(b[0])), b[1])  # noqa: E731
-    return model, optimizer, batches, loss_fn
-
-
-def _time_step_loop_passes(build_fn, dtype: str, passes: str):
-    """Like :func:`_time_step_loop`, planned with an explicit pass selection."""
+def _time_planned_loop(build_fn, dtype: str):
+    """Like :func:`_time_step_loop` (planned), also returning the plan."""
     with nn.default_dtype(dtype):
         model, optimizer, batches, loss_fn = build_fn()
-        graph_plan = nn.GraphPlan(passes=passes)
+        graph_plan = nn.GraphPlan()
         _run_steps(model, optimizer, batches, loss_fn, _WARMUP, graph_plan)
         start = time.perf_counter()
         loss = _run_steps(model, optimizer, batches, loss_fn, _STEPS, graph_plan)
         elapsed = time.perf_counter() - start
-        assert np.isfinite(float(loss.data)), f"{dtype}/{passes} step loop diverged"
+        assert np.isfinite(float(loss.data)), f"{dtype} planned step loop diverged"
         return elapsed, graph_plan
-
-
-def test_mlp_plan_fused():
-    """Chain fusion must engage on the GELU MLP and never meaningfully slow it."""
-    fused_seconds, fused_plan = _time_step_loop_passes(
-        _build_gelu_mlp, "float32", "alias,fuse,dce"
-    )
-    unfused_seconds, _ = _time_step_loop_passes(_build_gelu_mlp, "float32", "none")
-    entry = {
-        "steps": _STEPS,
-        "passes": "alias,fuse,dce",
-        "fused_seconds": round(fused_seconds, 4),
-        "unfused_seconds": round(unfused_seconds, 4),
-        "fuse_speedup": round(unfused_seconds / fused_seconds, 3),
-        "fused_chains": fused_plan.fused_chains,
-        "dce_dropped": fused_plan.dce_dropped,
-    }
-    _record("mlp_plan_fused", entry)
-    print(f"\n[hotpath] mlp_plan_fused: {entry}")
-    assert fused_plan.fused_chains >= 1, "fusion pass found no chains in the GELU MLP"
-    assert fused_plan.diverged_steps == 0
 
 
 def test_resnet20_plan_aliased():
     """Buffer aliasing must shrink the conv arena's distinct storage."""
-    planned_seconds, plan = _time_step_loop_passes(
-        _build_resnet20, "float32", "alias,fuse,dce"
-    )
+    planned_seconds, plan = _time_planned_loop(_build_resnet20, "float32")
     raw_kb = plan.arena_nbytes_raw() / 1024
     arena_kb = plan.arena_nbytes() / 1024
     entry = {
         "steps": _STEPS,
-        "passes": "alias,fuse,dce",
         "planned_seconds": round(planned_seconds, 4),
         "arena_kb": round(arena_kb, 1),
         "arena_raw_kb": round(raw_kb, 1),
@@ -510,9 +452,6 @@ def test_artifact_written_and_well_formed():
         assert entry is not None, f"missing {entry_name} entry in {RESULTS_PATH}"
         assert entry["num_seeds"] == NUM_SEEDS
         assert entry["serial_seconds"] > 0 and entry["batched_seconds"] > 0
-    fused = payload["results"].get("mlp_plan_fused")
-    assert fused is not None, f"missing mlp_plan_fused entry in {RESULTS_PATH}"
-    assert fused["fused_chains"] >= 1 and fused["fused_seconds"] > 0
     aliased = payload["results"].get("resnet20_plan_aliased")
     assert aliased is not None, f"missing resnet20_plan_aliased entry in {RESULTS_PATH}"
     assert aliased["aliased_positions"] > 0

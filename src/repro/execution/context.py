@@ -86,13 +86,6 @@ class ExecutionContext:
     plan:
         Graph-planning pin (``True``/``False``) or ``None`` to defer to the
         ambient ``REPRO_PLAN`` switch.
-    plan_passes:
-        Plan compiler-pass selection (see :mod:`repro.nn.plan_passes`): a
-        comma-separated string of pass names (``alias``/``fuse``/``dce``/
-        ``parallel``), ``"none"``, ``"all"``, or ``None`` to defer to the
-        ambient ``REPRO_PLAN_PASSES`` default.  Like ``plan`` itself, passes
-        are an execution detail — every combination is bitwise identical —
-        so they never enter cache fingerprints.
     dtype:
         Default dtype for *planned* cells (``"float32"``/``"float64"``, or
         the emulated ``"bfloat16"``/``"float16"``), or
@@ -123,7 +116,6 @@ class ExecutionContext:
     retries: int = 1
     batch_seeds: bool = False
     plan: bool | None = None
-    plan_passes: str | None = None
     dtype: str | None = None
     executor: str = "auto"
     queue: Any = None
@@ -137,10 +129,6 @@ class ExecutionContext:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.executor not in EXECUTORS:
             raise ValueError(f"executor must be one of {EXECUTORS}, got {self.executor!r}")
-        if self.plan_passes is not None:
-            from repro.nn.plan import parse_passes
-
-            parse_passes(self.plan_passes)  # fail fast on unknown pass names
         if self.retry_policy is not None:
             from repro.execution.retry import RetryPolicy
 
@@ -183,10 +171,6 @@ class ExecutionContext:
         ``REPRO_PLAN``
             Graph-planning switch; unset leaves ``plan=None`` (ambient
             default: on).
-        ``REPRO_PLAN_PASSES``
-            Plan compiler-pass selection (comma-separated names, ``none``,
-            or ``all``); unset leaves ``plan_passes=None`` (ambient default:
-            ``alias,fuse,dce``).
         ``REPRO_DTYPE``
             Default cell dtype.
         ``REPRO_EXECUTOR``
@@ -209,8 +193,6 @@ class ExecutionContext:
             values["cache"] = env["REPRO_BENCH_CACHE_DIR"]
         if env.get("REPRO_PLAN") is not None:
             values["plan"] = env["REPRO_PLAN"].strip().lower() not in _FALSY
-        if env.get("REPRO_PLAN_PASSES") is not None:
-            values["plan_passes"] = env["REPRO_PLAN_PASSES"]
         if env.get("REPRO_DTYPE"):
             values["dtype"] = env["REPRO_DTYPE"]
         if env.get("REPRO_EXECUTOR"):

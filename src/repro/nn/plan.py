@@ -47,15 +47,11 @@ and benchmarks can assert the fallback engaged.
 Compiler passes
 ---------------
 The captured tape is an IR, and after the capture step the plan runs a small
-compiler over it (see :mod:`repro.nn.plan_passes`): buffer-lifetime analysis
-remaps arena positions with disjoint live ranges onto shared storage
-(``alias``), single-consumer elementwise chains collapse into fused backward
-kernels (``fuse``), closures that provably no-op are dropped from the
-backward schedule (``dce``), and — opt-in — independent backward nodes
-dispatch across a shared thread pool (``parallel``).  Every pass preserves
-the planned-vs-unplanned bitwise-equality contract; the pass list is
-configurable per plan (``GraphPlan(passes=...)``), per trainer
-(``plan_passes=``) and ambiently (``REPRO_PLAN_PASSES``).
+fixed compiler over it (see :mod:`repro.nn.plan_passes`): closures that
+provably no-op are dropped from the backward schedule (``dce``), then
+buffer-lifetime analysis remaps arena positions with disjoint live ranges
+onto shared storage (``alias``).  Both passes preserve the
+planned-vs-unplanned bitwise-equality contract and run on every capture.
 
 Under the ``alias`` pass an intermediate activation's buffer may be
 overwritten *within* a step once its captured last use has passed; only the
@@ -73,26 +69,16 @@ safe.
 from __future__ import annotations
 
 import os
-import threading
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.nn import plan_passes as _passes_mod
-from repro.nn.dtype import default_dtype, resolve_dtype
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tensor imports plan)
     from repro.nn.tensor import Tensor
 
-__all__ = [
-    "DEFAULT_PASSES",
-    "GraphPlan",
-    "KNOWN_PASSES",
-    "get_active",
-    "parse_passes",
-    "plan_enabled_default",
-    "plan_passes_default",
-]
+__all__ = ["GraphPlan", "get_active", "plan_enabled_default"]
 
 
 #: The plan whose arena the kernels currently draw from (``None`` almost
@@ -130,7 +116,7 @@ def get_active() -> "GraphPlan | None":
 
 
 def tag(tensor: "Tensor", kind: str, meta: object = None) -> None:
-    """Tag an op's output node for the active plan's compiler (no-op otherwise)."""
+    """Tag an op's output node for the active plan's replay check (no-op otherwise)."""
     plan = ACTIVE
     if plan is not None:
         plan.tag_op(tensor, kind, meta)
@@ -144,61 +130,6 @@ def plan_enabled_default() -> bool:
     when their ``plan=`` argument is ``None``.
     """
     return os.environ.get("REPRO_PLAN", "1").strip().lower() not in _FALSY
-
-
-#: passes run by default after the capture step — each preserves bitwise
-#: equality with unplanned execution, so they are on unless disabled
-DEFAULT_PASSES: tuple[str, ...] = ("alias", "fuse", "dce")
-
-#: every pass the compiler knows; ``parallel`` is opt-in (it keeps bitwise
-#: determinism but trades single-thread latency for concurrency, which only
-#: pays off on wide graphs)
-KNOWN_PASSES: tuple[str, ...] = ("alias", "fuse", "dce", "parallel")
-
-
-def parse_passes(spec: "str | Iterable[str] | None") -> tuple[str, ...]:
-    """Normalise a pass specification to a validated tuple of pass names.
-
-    Accepts ``None`` (the defaults), a comma-separated string (``"alias,fuse"``,
-    with ``"none"``/``"off"``/``""`` meaning no passes, ``"default"`` the
-    default set, and ``"all"`` every known pass), or any iterable of names.
-    Unknown names raise ``ValueError`` — a typo must not silently disable an
-    optimisation.
-    """
-    if spec is None:
-        return DEFAULT_PASSES
-    if isinstance(spec, str):
-        text = spec.strip().lower()
-        if text in {"", "none", "off"}:
-            return ()
-        if text == "default":
-            return DEFAULT_PASSES
-        if text == "all":
-            return KNOWN_PASSES
-        names = [part.strip() for part in text.split(",") if part.strip()]
-    else:
-        names = [str(part).strip().lower() for part in spec]
-    seen: list[str] = []
-    for name in names:
-        if name not in KNOWN_PASSES:
-            known = ", ".join(KNOWN_PASSES)
-            raise ValueError(
-                f"unknown plan pass {name!r}; known passes: {known} (or 'none'/'default'/'all')"
-            )
-        if name not in seen:
-            seen.append(name)
-    return tuple(seen)
-
-
-def plan_passes_default() -> tuple[str, ...]:
-    """The ambient pass list (the ``REPRO_PLAN_PASSES`` switch).
-
-    Unset means :data:`DEFAULT_PASSES`; any spelling accepted by
-    :func:`parse_passes` works, e.g. ``REPRO_PLAN_PASSES=none`` to run plain
-    PR-5 style capture/replay or ``REPRO_PLAN_PASSES=all`` to add parallel
-    dispatch.  Plans created with ``passes=None`` consult this.
-    """
-    return parse_passes(os.environ.get("REPRO_PLAN_PASSES"))
 
 
 class _PlanStep:
@@ -243,7 +174,6 @@ class GraphPlan:
         "_sigs",
         "_topo_idx",
         "_topo_root",
-        "_passes",
         "_ops",
         "_reqs",
         "_node_pos",
@@ -258,22 +188,17 @@ class GraphPlan:
         "_tags_seen",
         "_pre_bw_tags",
         "_schedule",
-        "_waves",
-        "_tls",
-        "_parallel_exec",
-        "_staging_nbytes",
         "steps",
         "reused_checkouts",
         "fresh_checkouts",
         "diverged_steps",
         "topo_captures",
         "topo_replays",
-        "fused_chains",
         "dce_dropped",
         "aliased_positions",
     )
 
-    def __init__(self, passes: "str | Iterable[str] | None" = None) -> None:
+    def __init__(self) -> None:
         #: the process-globally unique id of the current step (see
         #: ``_next_generation``); stamps node registrations
         self.generation = 0
@@ -293,7 +218,6 @@ class GraphPlan:
         self._topo_idx: list[int] | None = None
         self._topo_root = -1
         # -- compiler inputs (filled during the capture step)
-        self._passes = plan_passes_default() if passes is None else parse_passes(passes)
         self._ops: dict[int, tuple] = {}
         self._reqs: list[bool] = []
         self._node_pos: list[int] = []
@@ -308,11 +232,7 @@ class GraphPlan:
         self._tags_seen = 0
         self._pre_bw_tags = 0
         # -- compiler outputs (None until compiled)
-        self._schedule: list | None = None
-        self._waves: list[list] | None = None
-        self._tls: threading.local | None = None
-        self._parallel_exec = False
-        self._staging_nbytes = 0
+        self._schedule: list[tuple[int, int]] | None = None
         # -- counters (observability for tests and the microbench)
         self.steps = 0
         self.reused_checkouts = 0
@@ -320,14 +240,8 @@ class GraphPlan:
         self.diverged_steps = 0
         self.topo_captures = 0
         self.topo_replays = 0
-        self.fused_chains = 0
         self.dce_dropped = 0
         self.aliased_positions = 0
-
-    @property
-    def passes(self) -> tuple[str, ...]:
-        """The compiler passes this plan runs after its capture step."""
-        return self._passes
 
     # -- lifecycle ----------------------------------------------------------
     def step(self) -> _PlanStep:
@@ -349,7 +263,7 @@ class GraphPlan:
         if self.capturing:
             self._captured = True
             self.capturing = False
-            if self._passes and self._bw_records is not None and not self._bw_invalid:
+            if self._bw_records is not None and not self._bw_invalid:
                 _passes_mod.compile_step(self)
         if self._diverged:
             self.diverged_steps += 1
@@ -382,21 +296,6 @@ class GraphPlan:
             self._pos += 1
             self.fresh_checkouts += 1
             return buf
-        if self._parallel_exec:
-            # Parallel dispatch: each worker carries its item's captured start
-            # position in thread-local state (wave scheduling guarantees
-            # distinct items touch distinct positions — see plan_passes).
-            tls = self._tls
-            pos = tls.pos
-            if self._match and pos < len(self._keys):
-                key = self._keys[pos]
-                if key[0] == shape and key[1] == dtype:
-                    tls.pos = pos + 1
-                    self.reused_checkouts += 1
-                    return self._buffers[pos]
-            self._note_divergence()
-            self.fresh_checkouts += 1
-            return np.empty(shape, dtype)
         pos = self._pos
         if self._match and pos < len(self._keys):
             key = self._keys[pos]
@@ -501,13 +400,13 @@ class GraphPlan:
             self._note_divergence()
 
     def tag_op(self, tensor: "Tensor", kind: str, meta: object = None) -> None:
-        """Label a registered node with its op identity (for the compiler).
+        """Label a registered node with its op identity.
 
         The graph signature alone says "node with these parents and this
-        shape" — fusion additionally needs to know *which* elementwise op a
-        node is.  Capture stores the tag; replay verifies it (a changed op at
-        the same tape position means the captured fused kernels are stale, so
-        the step diverges to the ordinary fallback).
+        shape"; it cannot tell ``tanh`` from ``sigmoid``.  Capture stores the
+        tag; replay verifies it.  A changed op at the same tape position would
+        run a backward closure whose checkouts no longer match the captured
+        schedule, so the step diverges to the ordinary fallback instead.
         """
         if tensor._plan_gen != self.generation:
             return
@@ -565,7 +464,7 @@ class GraphPlan:
     # is what lifetime analysis and schedule replay both key on.
     def wants_backward_capture(self) -> bool:
         """Whether this step's backward should be recorded for compilation."""
-        return self.capturing and bool(self._passes) and not self._bw_seen
+        return self.capturing and not self._bw_seen
 
     def begin_backward(self, root: "Tensor") -> None:
         """Mark the start of the capture step's backward (before the seed)."""
@@ -596,12 +495,12 @@ class GraphPlan:
         """Whether this step's backward can run the compiled schedule.
 
         Mirrors :meth:`topo_order`'s validity conditions, plus: every op tag
-        recorded during capture was re-verified this step (so the fused
-        kernels' op-identity assumptions hold), and this is the step's first
+        recorded during capture was re-verified this step (so every scheduled
+        closure is the op that was captured), and this is the step's first
         backward.  On success the caller must seed the root gradient and then
         call :meth:`execute_schedule`.
         """
-        if self._schedule is None and self._waves is None:
+        if self._schedule is None:
             return False
         if (
             self._match
@@ -621,62 +520,28 @@ class GraphPlan:
         """Run the compiled backward schedule against this step's nodes.
 
         Each item resets the arena cursor to its captured start position, so
-        positions belonging to fused-away or dead-code-eliminated closures are
-        simply skipped — live checkouts still land exactly where capture put
-        them.
+        positions belonging to dead-code-eliminated closures are simply
+        skipped — live checkouts still land exactly where capture put them.
         """
         nodes = self._nodes
         try:
-            if self._waves is not None:
-                self._execute_waves(nodes)
-            else:
-                for start, op in self._schedule:
-                    self._pos = start
-                    if type(op) is int:
-                        nodes[op]._backward()
-                    else:
-                        op.execute(self, nodes)
+            for start, idx in self._schedule:
+                self._pos = start
+                nodes[idx]._backward()
         finally:
             self._pos = self._bw_end
-            self._parallel_exec = False
-
-    def _execute_waves(self, nodes: "list[Tensor]") -> None:
-        pool = _passes_mod.shared_pool()
-        run = self._run_item
-        self._parallel_exec = True
-        # the default dtype (and with it an emulated policy's cast-on-store
-        # of leaf gradients) is thread-local, so pool workers enter the
-        # calling thread's
-        ambient = resolve_dtype(None)
-        for wave in self._waves:
-            if len(wave) == 1:
-                run(wave[0], nodes, ambient)
-            else:
-                futures = [pool.submit(run, item, nodes, ambient) for item in wave]
-                for future in futures:
-                    future.result()
-
-    def _run_item(self, item: tuple, nodes: "list[Tensor]", ambient: object) -> None:
-        start, op = item
-        self._tls.pos = start
-        with default_dtype(ambient):
-            if type(op) is int:
-                nodes[op]._backward()
-            else:
-                op.execute(self, nodes)
 
     # -- arena accounting -----------------------------------------------------
     def arena_nbytes(self) -> int:
-        """Bytes of unique arena storage (post-aliasing), incl. fused staging."""
+        """Bytes of unique arena storage (post-aliasing)."""
         unique: dict[int, int] = {}
         for buf in self._buffers:
             unique[id(buf)] = buf.nbytes
-        return sum(unique.values()) + self._staging_nbytes
+        return sum(unique.values())
 
     def arena_nbytes_raw(self) -> int:
         """Bytes the arena would hold with one buffer per position (no aliasing)."""
-        total = sum(int(np.prod(shape, dtype=np.int64)) * dtype.itemsize for shape, dtype in self._keys)
-        return total + self._staging_nbytes
+        return sum(int(np.prod(shape, dtype=np.int64)) * dtype.itemsize for shape, dtype in self._keys)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -429,10 +429,9 @@ class Tensor:
             current += grad
         # Cast-on-store for *leaf* gradients: the gradient a parameter hands
         # to the optimizer lives on the emulated grid, quantized after every
-        # contribution lands.  Interior gradients deliberately stay float32 —
-        # the fused backward chains compiled by repro.nn.plan_passes replicate
-        # the closure ufunc sequences (not ``_accumulate``), so quantizing
-        # interior accumulations would break the pass≡no-pass bitwise oracle.
+        # contribution lands.  Interior gradients deliberately stay float32:
+        # the emulation policy rounds leaf gradients only, and quantizing
+        # interior accumulations would change every low-precision record.
         if self.requires_grad and not self._prev:
             emulation = active_emulation()
             if emulation is not None and self.grad.dtype == emulation.storage:
@@ -469,7 +468,7 @@ class Tensor:
         if plan is not None and plan.use_compiled(self):
             # Replay the compiled backward schedule (see repro.nn.plan_passes):
             # same closures, same checkout positions, same accumulation order
-            # — minus fused-away and dead-code-eliminated dispatches.
+            # — minus dead-code-eliminated dispatches.
             self._accumulate(grad)
             plan.execute_schedule()
             return
@@ -498,9 +497,8 @@ class Tensor:
                 plan.capture_topo(self, topo)
 
         if plan is not None and plan.wants_backward_capture():
-            # Capture step with compiler passes enabled: record each closure's
-            # checkout range so compile_step can analyse lifetimes and build
-            # the replay schedule.
+            # Capture step: record each closure's checkout range so
+            # compile_step can analyse lifetimes and build the replay schedule.
             plan.begin_backward(self)
             self._accumulate(grad)
             plan.note_seed_done()

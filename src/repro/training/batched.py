@@ -186,8 +186,6 @@ class BatchedTrainer:
     ``plan`` mirrors :class:`~repro.training.trainer.Trainer`'s graph-planning
     switch (``None`` defers to ``REPRO_PLAN``): the stacked step's buffers —
     including the conv kernel's column and GEMM workspaces — are captured once and reused on every later step.
-    ``plan_passes`` mirrors the serial trainer's compiler-pass selection
-    (``None`` defers to ``REPRO_PLAN_PASSES``).
     """
 
     def __init__(
@@ -200,7 +198,6 @@ class BatchedTrainer:
         schedule: Schedule | None = None,
         loss_ceiling: float | None = None,
         plan: bool | None = None,
-        plan_passes: str | Sequence[str] | None = None,
     ) -> None:
         self.model = model
         self.optimizer = optimizer
@@ -210,7 +207,6 @@ class BatchedTrainer:
         self.schedule = schedule
         self.loss_ceiling = LossNaNGuard().ceiling if loss_ceiling is None else loss_ceiling
         self.plan = nn.plan_enabled_default() if plan is None else bool(plan)
-        self.plan_passes = plan_passes
         self.last_plan: nn.GraphPlan | None = None
         self.num_seeds = train_loader.num_seeds
         self.histories = [History() for _ in range(self.num_seeds)]
@@ -223,7 +219,7 @@ class BatchedTrainer:
         if total_steps < 1:
             raise ValueError(f"total_steps must be at least 1, got {total_steps}")
         self.model.train()
-        graph_plan = nn.GraphPlan(passes=self.plan_passes) if self.plan else None
+        graph_plan = nn.GraphPlan() if self.plan else None
         self.last_plan = graph_plan
         # Under an ambient emulated dtype the stacked loop trains
         # mixed-precision exactly like the serial trainer.  One scalar loss

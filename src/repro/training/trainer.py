@@ -77,14 +77,8 @@ class Trainer:
         (default) defers to the ``REPRO_PLAN`` environment switch, which is
         **on** unless set to a falsy value — pass ``False`` (or run with
         ``REPRO_PLAN=0`` / the CLI's ``--no-plan``) as the exact-equality
-        escape hatch.
-    plan_passes:
-        Compiler passes the plan runs after its capture step (see
-        :mod:`repro.nn.plan_passes`): a comma-separated string or iterable of
-        names from ``alias``/``fuse``/``dce``/``parallel``, ``"none"`` for
-        plain capture/replay, ``"all"`` for everything.  ``None`` (default)
-        defers to ``REPRO_PLAN_PASSES`` (default: ``alias,fuse,dce``).  All
-        passes preserve bitwise equality with unplanned execution.
+        escape hatch.  After the capture step the plan compiles a fixed
+        ``dce`` + ``alias`` schedule (:mod:`repro.nn.plan_passes`).
     """
 
     def __init__(
@@ -99,7 +93,6 @@ class Trainer:
         eval_every_epoch: bool = False,
         dtype: str | np.dtype | None = None,
         plan: bool | None = None,
-        plan_passes: str | Sequence[str] | None = None,
         loss_scaler: LossScaler | None = None,
         stochastic_rounding: bool = False,
     ) -> None:
@@ -113,7 +106,6 @@ class Trainer:
         self.eval_every_epoch = eval_every_epoch
         self.dtype = nn.resolve_dtype(dtype) if dtype is not None else None
         self.plan = nn.plan_enabled_default() if plan is None else bool(plan)
-        self.plan_passes = plan_passes
         self.loss_scaler = loss_scaler
         self.stochastic_rounding = stochastic_rounding
         #: the :class:`~repro.nn.plan.GraphPlan` of the most recent ``fit``
@@ -168,7 +160,7 @@ class Trainer:
         for cb in self.callbacks:
             cb.on_train_begin(self)
 
-        graph_plan = nn.GraphPlan(passes=self.plan_passes) if self.plan else None
+        graph_plan = nn.GraphPlan() if self.plan else None
         self.last_plan = graph_plan
 
         # Under an emulated dtype (ambient, whether set by self.dtype or an
