@@ -45,8 +45,11 @@ __all__ = [
 #: gradients round differently from the composed ops', so a cached record
 #: must not mix old-numerics bits with new ones; v5: convolution runs one
 #: batch-innermost GEMM per seed and the detection loss is one node with a
-#: closed-form backward, so gradients round differently again)
-FINGERPRINT_VERSION = 5
+#: closed-form backward, so gradients round differently again; v6: the
+#: transformer's attention and GELU are one node each with a closed-form
+#: backward, rank-3+ linear layers run one GEMM per pass and the embedding
+#: gradient is a one-hot GEMM, so its gradients round differently)
+FINGERPRINT_VERSION = 6
 
 
 def _canonical(value: Any) -> Any:

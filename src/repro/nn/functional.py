@@ -5,6 +5,11 @@ forward pass and both gradients are one BLAS GEMM each (see :func:`conv2d`);
 pooling unfolds windows with :func:`im2col` and folds gradients back with
 :func:`col2im` (per the project's "vectorize, don't loop" guideline).
 
+The transformer's layers are single graph nodes too: :func:`linear`,
+:func:`gelu`, :func:`attention` (head split to head merge) and
+:func:`embedding`, each with a closed-form backward that serves the serial
+and the seed-stacked path alike.
+
 Every workspace here (conv columns, im2col/col2im buffers, GEMM outputs,
 dropout masks, scatter targets) is drawn from the active
 :class:`~repro.nn.plan.GraphPlan`'s arena when a trainer has one active, so
@@ -21,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.nn import plan as _plan
-from repro.nn.dtype import active_emulation, get_default_dtype
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.dtype import get_default_dtype
+from repro.nn.tensor import Tensor, _ew, is_grad_enabled
 
 __all__ = [
     "linear",
@@ -32,6 +37,8 @@ __all__ = [
     "global_avg_pool2d",
     "embedding",
     "dropout",
+    "gelu",
+    "attention",
     "batch_norm",
     "layer_norm",
     "one_hot",
@@ -43,49 +50,45 @@ __all__ = [
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` with ``weight`` of shape (out, in).
+    """Affine map ``x @ weight.T + bias`` with ``weight`` of shape (out, in), as one graph node.
 
-    Seed-batched path: a weight of shape (S, out, in) (``weight.seed_dim = S``)
-    maps an (S, ..., in) input with one stacked ``np.matmul`` — per seed the
-    BLAS call sees exactly the shapes of the serial path, so each seed's slice
-    is bitwise identical to its stand-alone run.
+    The GEMMs are those of the composed ops: a rank-3+ input multiplies one
+    (rows, in) matrix per leading index (batched ``np.matmul``), and the
+    weight gradient sums the per-matrix products over the leading axes one
+    axis at a time, as broadcasting's reduction did.  Each GEMM stays as
+    small as one sequence's — one flattened (N·T, in) GEMM would cross
+    OpenBLAS's multithreading threshold and spin a second thread.
+
+    A seed-stacked weight (``weight.seed_dim = S``, shape (S, out, in)) maps
+    an (S, ..., in) input in the same single node: every seed's GEMMs and
+    reductions see exactly the shapes of its serial call, so each seed's
+    slice is bitwise its stand-alone run, cast-on-store rounding included.
     """
-    if weight.seed_dim is not None:
-        w = weight.swapaxes(-1, -2)  # (S, in, out)
-        if x.ndim > 3:
-            # align the seed axis for batched matmul over extra leading dims
-            # (e.g. (S, N, T, in) @ (S, 1, in, out))
-            w = w.reshape(w.shape[0], *([1] * (x.ndim - 3)), w.shape[-2], w.shape[-1])
+    stacked = weight.seed_dim is not None
+    lead = x.shape[:1] if stacked else ()
+    if x.ndim < len(lead) + 2 or x.data.dtype != weight.data.dtype or (
+        bias is not None and bias.data.dtype != x.data.dtype
+    ):
+        # rare shapes/dtypes keep the composed ops: matmul handles a vector
+        # input, and a mixed-dtype layer must *promote*, which the fused
+        # in-place bias add below would not (it silently downcasts a wider bias)
+        w = weight.swapaxes(-1, -2)
+        if stacked:
+            w = w.reshape(*lead, *([1] * (x.ndim - 3)), *w.shape[-2:])
         out = x @ w
         if bias is not None:
-            # (S, out) -> (S, 1, ..., 1, out) so broadcasting stays per-seed
-            shape = (bias.shape[0],) + (1,) * (out.ndim - 2) + (bias.shape[-1],)
-            out = out + bias.reshape(*shape)
-        return out
-    if x.ndim < 2 or x.data.dtype != weight.data.dtype or (
-        bias is not None and bias.data.dtype != x.data.dtype
-    ) or active_emulation() is not None:
-        # rare shapes/dtypes keep the composed ops: matmul handles the rank
-        # cases, and a mixed-dtype layer must *promote* (the fused in-place
-        # bias add below would silently downcast a wider bias).  Emulated
-        # dtypes also take this path: cast-on-store quantizes at every graph
-        # node, and the seed-batched branch above is a matmul node *then* an
-        # add node — the fused single-node path below would round once where
-        # the batched path rounds twice, breaking per-seed bitwise equality.
-        out = x @ weight.T
-        if bias is not None:
+            if stacked:
+                bias = bias.reshape(*lead, *([1] * (out.ndim - 2)), bias.shape[-1])
             out = out + bias
         return out
-    # Fused serial path: one graph node for ``x @ W.T (+ bias)`` instead of a
-    # transpose node + matmul node + add node rebuilt every step.  Each numpy
-    # call below is exactly the call the composed ops made (the GEMMs see the
-    # same arrays in the same layout), so values — and the per-seed slices of
-    # the batched path above, which mirrors the composed chain — stay bitwise
-    # identical; only the python/graph dispatch shrinks.
     a, w = x.data, weight.data
-    out_data = _gemm(a, w.T, a.shape[:-1] + (w.shape[0],))
+    out_f, in_f = w.shape[-2], w.shape[-1]
+    # (S, 1, ..., 1, out, in) so the batched GEMMs pair each seed with its weight
+    w_b = w.reshape(lead + (1,) * (a.ndim - 3) + (out_f, in_f)) if stacked else w
+    first = len(lead)  # the first axis summed out of the weight and bias gradients
+    out_data = _gemm(a, np.swapaxes(w_b, -1, -2), a.shape[:-1] + (out_f,))
     if bias is not None:
-        out_data += bias.data
+        out_data += bias.data.reshape(lead + (1,) * (a.ndim - first - 1) + (out_f,))
     requires_grad = x.requires_grad or weight.requires_grad or (
         bias is not None and bias.requires_grad
     )
@@ -97,20 +100,34 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             return
         g = out.grad
         if x.requires_grad:
-            x._accumulate(_gemm(g, w, g.shape[:-1] + (w.shape[1],)), own=True)
+            x._accumulate(_gemm(g, w_b, g.shape[:-1] + (in_f,)), own=True)
         if weight.requires_grad:
-            # (x^T @ g) then transpose, matching the composed chain's GEMM and
-            # copy orientation (bitwise-relevant: the batched path reduces the
-            # same way per seed)
+            # (x^T @ g) per matrix, summed over the remaining leading axes,
+            # then transposed
             at = np.swapaxes(a, -1, -2)
-            grad_wt = _gemm(at, g, at.shape[:-1] + (g.shape[-1],))
+            grad_wt = _gemm(at, g, at.shape[:-1] + (out_f,))
+            grad_wt = _sum_axes(grad_wt, first, grad_wt.ndim - first - 2)
             weight._accumulate(np.swapaxes(grad_wt, -1, -2))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g)
+            bias._accumulate(_sum_axes(g, first, g.ndim - first - 1), own=True)
 
     out._backward = _backward
     _plan.tag(out, "linear")
     return out
+
+
+def _sum_axes(arr: np.ndarray, axis: int, count: int) -> np.ndarray:
+    """Sum out ``count`` axes starting at ``axis``, one axis per reduction.
+
+    One axis at a time is the order broadcasting's gradient reduction
+    (:func:`~repro.nn.tensor.unbroadcast`) sums in, so each element
+    accumulates its terms in the same sequence on the serial path
+    (``axis=0``) and per seed on the stacked path (``axis=1``).
+    """
+    for _ in range(count):
+        shape = arr.shape[:axis] + arr.shape[axis + 1:]
+        arr = np.add.reduce(arr, axis=axis, out=_empty(shape, arr.dtype))
+    return arr
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -613,40 +630,28 @@ def embedding(indices: np.ndarray, weight: Tensor) -> Tensor:
 
     With a seed-stacked weight (S, vocab, dim), ``indices`` carries a leading
     seed axis (S, ...) and seed *s* gathers from its own table ``weight[s]``.
+    The backward scatters the gradient rows into the table with one
+    ``np.bincount`` over (row, column) keys — offset per seed for a stacked
+    table — instead of an ``np.add.at`` loop.  Both add the rows in the order
+    they occur; bincount accumulates in float64, so a float64 table gets
+    ``np.add.at``'s sums bit for bit and a float32 one rounds once at the end.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    if weight.seed_dim is not None:
-        num_seeds = weight.seed_dim
-        vocab, dim = weight.shape[1], weight.shape[2]
-        if indices.ndim < 1 or indices.shape[0] != num_seeds:
-            raise ValueError(
-                f"seed-batched embedding expects (S, ...) indices with S={num_seeds}, "
-                f"got shape {indices.shape}"
-            )
-        if indices.size and (indices.min() < 0 or indices.max() >= vocab):
-            raise ValueError(f"token index out of range [0, {vocab})")
-        seed_sel = np.arange(num_seeds).reshape((num_seeds,) + (1,) * (indices.ndim - 1))
-        out = Tensor(
-            weight.data[seed_sel, indices], requires_grad=weight.requires_grad, _prev=(weight,)
+    stacked = weight.seed_dim is not None
+    vocab, dim = weight.shape[-2], weight.shape[-1]
+    if stacked and (indices.ndim < 1 or indices.shape[0] != weight.seed_dim):
+        raise ValueError(
+            f"seed-batched embedding expects (S, ...) indices with S={weight.seed_dim}, "
+            f"got shape {indices.shape}"
         )
-
-        def _backward_batched() -> None:
-            if out.grad is None or not weight.requires_grad:
-                return
-            grad = _zeros(weight.data.shape, weight.data.dtype)
-            seeds_flat = np.broadcast_to(seed_sel, indices.shape).reshape(-1)
-            np.add.at(grad, (seeds_flat, indices.reshape(-1)), out.grad.reshape(-1, dim))
-            weight._accumulate(grad, own=True)
-
-        out._backward = _backward_batched
-        _plan.tag(out, "embedding")
-        return out
-
-    vocab, dim = weight.shape
     if indices.size and (indices.min() < 0 or indices.max() >= vocab):
         raise ValueError(f"token index out of range [0, {vocab})")
+    lead = indices.shape[:1] if stacked else ()
     plan = _plan.ACTIVE
-    if plan is not None:
+    if stacked:
+        seed_sel = np.arange(lead[0]).reshape(lead + (1,) * (indices.ndim - 1))
+        gathered = weight.data[seed_sel, indices]
+    elif plan is not None:
         gathered = np.take(
             weight.data, indices, axis=0, out=plan.checkout(indices.shape + (dim,), weight.dtype)
         )
@@ -657,13 +662,61 @@ def embedding(indices: np.ndarray, weight: Tensor) -> Tensor:
     def _backward() -> None:
         if out.grad is None or not weight.requires_grad:
             return
-        grad = _zeros(weight.data.shape, weight.data.dtype)
-        np.add.at(grad, indices.reshape(-1), out.grad.reshape(-1, dim))
-        weight._accumulate(grad, own=True)
+        rows = indices.reshape(lead + (-1,))
+        if stacked:
+            rows = rows + (np.arange(lead[0]) * vocab)[:, None]
+        keys = rows.reshape(-1, 1) * dim + np.arange(dim)
+        sums = np.bincount(
+            keys.reshape(-1), weights=out.grad.reshape(-1), minlength=weight.data.size
+        )
+        weight._accumulate(sums.reshape(weight.data.shape), own=True)
 
     out._backward = _backward
     _plan.tag(out, "embedding")
     return out
+
+
+def _keep_mask(
+    shape: tuple[int, ...],
+    dtype: np.dtype,
+    p: float,
+    rng: np.random.Generator | None,
+    rngs: Sequence[np.random.Generator] | None,
+) -> np.ndarray:
+    """Inverted-dropout mask ``(u >= p) / (1 - p)`` with ``u`` uniform in [0, 1).
+
+    ``rngs`` (one generator per seed replica) draws seed *s*'s slice of a
+    seed-stacked ``shape`` from ``rngs[s]`` over the per-seed shape, so every
+    replica consumes exactly the random stream it would consume trained
+    alone; otherwise ``rng`` draws the whole mask.
+    """
+    plan = _plan.ACTIVE
+    if rngs is not None:
+        if plan is not None:
+            draw = plan.checkout(shape[1:], np.dtype(np.float64))
+            mask = plan.checkout(shape, dtype)
+            for s, r in enumerate(rngs):
+                r.random(out=draw)
+                np.greater_equal(draw, p, out=mask[s])
+        else:
+            mask = np.stack([(r.random(shape[1:]) >= p) for r in rngs]).astype(dtype)
+    elif plan is not None:
+        draw = plan.checkout(shape, np.dtype(np.float64))
+        rng.random(out=draw)
+        mask = np.greater_equal(draw, p, out=plan.checkout(shape, dtype))
+    else:
+        mask = (rng.random(shape) >= p).astype(dtype)
+    mask /= 1.0 - p
+    return mask
+
+
+def _check_rngs(x: Tensor, rngs: Sequence[np.random.Generator] | None) -> None:
+    """Per-seed generators need a seed-stacked input with one seed per generator."""
+    if rngs is not None and (x.seed_dim is None or x.shape[0] != len(rngs)):
+        raise ValueError(
+            f"per-seed dropout expects a seed-batched input with {len(rngs)} seeds, "
+            f"got shape {x.shape}"
+        )
 
 
 def dropout(
@@ -675,38 +728,16 @@ def dropout(
 ) -> Tensor:
     """Inverted dropout: scales surviving activations by 1/(1-p) at train time.
 
-    ``rngs`` supplies one generator per seed replica for seed-batched inputs:
-    seed *s* draws its mask from ``rngs[s]`` over the per-seed shape, so every
-    replica consumes exactly the random stream it would consume when trained
-    alone.
+    ``rngs`` supplies one generator per seed replica for seed-batched inputs
+    (see :func:`_keep_mask`).
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
+    _check_rngs(x, rngs)
+    mask = _keep_mask(x.shape, x.data.dtype, p, rng, rngs)
     plan = _plan.ACTIVE
-    if rngs is not None:
-        if x.seed_dim is None or x.shape[0] != len(rngs):
-            raise ValueError(
-                f"per-seed dropout expects a seed-batched input with {len(rngs)} seeds, "
-                f"got shape {x.shape}"
-            )
-        if plan is not None:
-            draw = plan.checkout(x.shape[1:], np.dtype(np.float64))
-            mask = plan.checkout(x.shape, x.data.dtype)
-            for s, r in enumerate(rngs):
-                r.random(out=draw)
-                np.greater_equal(draw, p, out=mask[s])
-        else:
-            mask = np.stack([(r.random(x.shape[1:]) >= p) for r in rngs]).astype(x.data.dtype)
-    else:
-        if plan is not None:
-            draw = plan.checkout(x.shape, np.dtype(np.float64))
-            rng.random(out=draw)
-            mask = np.greater_equal(draw, p, out=plan.checkout(x.shape, x.data.dtype))
-        else:
-            mask = (rng.random(x.shape) >= p).astype(x.data.dtype)
-    mask /= 1.0 - p
     out_data = np.multiply(
         x.data, mask, out=plan.checkout(x.shape, x.data.dtype) if plan is not None else None
     )
@@ -724,4 +755,171 @@ def dropout(
 
     out._backward = _backward
     _plan.tag(out, "dropout")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# transformer nodes: GELU and multi-head attention
+# ---------------------------------------------------------------------------
+
+_GELU_A = 0.044715
+_GELU_C = 0.7978845608028654  # sqrt(2/pi)
+
+
+def gelu(x: Tensor) -> Tensor:
+    """GELU, tanh approximation (as used by BERT), as one graph node.
+
+    The forward runs the ufuncs of ``x·0.5·(tanh(c·(x + a·x³)) + 1)`` in the
+    order the composed ops did (``a = 0.044715``, ``c = √(2/π)``).  With
+    ``s = 1 + tanh(·)`` saved, the backward is the closed form
+    ``dy/dx = 0.5·(s + (2 − s)·s·x·c·(1 + 3a·x²))``.
+    """
+    a = x.data
+    s = _empty(a.shape, a.dtype)
+    np.multiply(a, a, out=s)
+    s *= a
+    s *= _GELU_A
+    np.add(a, s, out=s)
+    s *= _GELU_C
+    np.tanh(s, out=s)
+    s += 1.0
+    out_data = _empty(a.shape, a.dtype)
+    np.multiply(a, 0.5, out=out_data)
+    out_data *= s
+    out = Tensor(out_data, requires_grad=x.requires_grad, _prev=(x,))
+
+    def _backward() -> None:
+        if out.grad is None or not x.requires_grad:
+            return
+        d = _empty(a.shape, a.dtype)
+        np.multiply(a, a, out=d)
+        d *= 3.0 * _GELU_A
+        d += 1.0
+        d *= _GELU_C
+        d *= a
+        d *= s
+        u = _empty(a.shape, a.dtype)
+        np.subtract(2.0, s, out=u)
+        d *= u
+        d += s
+        d *= 0.5
+        d *= out.grad
+        x._accumulate(d, own=True)
+
+    out._backward = _backward
+    _plan.tag(out, "gelu")
+    return out
+
+
+def _per_head(a: np.ndarray, num_heads: int) -> np.ndarray:
+    """An (..., T, H·d) array as an (..., H, T, d) view, one matrix per head."""
+    *lead, t, dim = a.shape
+    return a.reshape(*lead, t, num_heads, dim // num_heads).swapaxes(-2, -3)
+
+
+def _concat_heads(h: np.ndarray, heads_last: bool = False) -> np.ndarray:
+    """Per-head (..., H, T, d) — (..., H, d, T) with ``heads_last`` — copied to (..., T, H·d)."""
+    moved = np.moveaxis(h, -1, -3) if heads_last else h.swapaxes(-2, -3)
+    out = _empty(moved.shape[:-2] + (moved.shape[-2] * moved.shape[-1],), h.dtype)
+    np.copyto(out.reshape(moved.shape), moved)
+    return out
+
+
+def _last_axis_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)`` by folding halves with ``np.maximum``.
+
+    A maximum is exact whatever the order, so the result is ``a.max``'s.
+    Over the attention's 16-key rows, log2(16) elementwise passes take about
+    50 µs where numpy's max reduction takes about 80 µs.
+    """
+    while a.shape[-1] > 1:
+        half = a.shape[-1] // 2
+        folded = np.maximum(a[..., :half], a[..., half:2 * half])
+        if a.shape[-1] % 2:
+            np.maximum(folded[..., :1], a[..., -1:], out=folded[..., :1])
+        a = folded
+    return a
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    num_heads: int,
+    attention_mask: np.ndarray | None = None,
+    dropout_p: float = 0.0,
+    rng: np.random.Generator | None = None,
+    training: bool = True,
+    rngs: Sequence[np.random.Generator] | None = None,
+) -> Tensor:
+    """Scaled dot-product multi-head attention, head split to head merge, as one node.
+
+    ``q``, ``k``, ``v`` are the projected (N, T, D) sequences — (S, N, T, D)
+    seed-stacked — and the result is the heads' weighted sums merged back to
+    (N, T, D).  The node covers the scores ``q·kᵀ/√d``, the padding mask
+    (``attention_mask`` is (N, T) — (S, N, T) stacked — with 1 for real
+    tokens; padded keys get −1e9), the softmax, attention dropout (its mask
+    drawn as :func:`dropout` draws it, from ``rng`` or the per-seed
+    ``rngs``) and the weighted sum.  The backward is closed form: with ``P``
+    the softmax, ``dP`` its incoming gradient (dropout mask applied),
+    ``dS = P ⊙ (dP − rowsum(dP ⊙ P))``.  Every GEMM is batched over the
+    leading axes with the per-matrix shapes of the serial call, so each
+    seed's slice of a stacked call is bitwise its stand-alone call.
+    """
+    if not 0.0 <= dropout_p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {dropout_p}")
+    qa, ka, va = q.data, k.data, v.data
+    dt = qa.dtype
+    qh, kh, vh = (_per_head(arr, num_heads) for arr in (qa, ka, va))
+    head_dim = qh.shape[-1]
+    scale = 1.0 / np.sqrt(head_dim)
+    probs = _gemm(qh, kh.swapaxes(-1, -2), qh.shape[:-1] + (kh.shape[-2],))  # (..., H, T, T)
+    probs *= dt.type(scale)
+    if attention_mask is not None:
+        mask = np.asarray(attention_mask, dtype=dt)
+        if mask.shape != qa.shape[:-1]:
+            raise ValueError(
+                f"attention_mask shape {mask.shape} does not match {qa.shape[:-1]}"
+            )
+        probs += (1.0 - mask)[..., None, None, :] * -1e9
+    # softmax over the keys, staged in place like Tensor.softmax
+    probs -= _last_axis_max(probs)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    keep = None
+    weights = probs
+    if training and dropout_p > 0.0:
+        _check_rngs(q, rngs)
+        keep = _keep_mask(probs.shape, dt, dropout_p, rng, rngs)
+        weights = _empty(probs.shape, dt)
+        np.multiply(probs, keep, out=weights)
+    attended = _gemm(weights, vh, weights.shape[:-1] + (vh.shape[-1],))
+    out_data = _concat_heads(attended)
+    requires_grad = q.requires_grad or k.requires_grad or v.requires_grad
+    out = Tensor(out_data, requires_grad=requires_grad, _prev=(q, k, v))
+
+    def _backward() -> None:
+        if out.grad is None:
+            return
+        gh = _per_head(out.grad, num_heads)
+        if v.requires_grad:
+            grad_vh = _gemm(weights.swapaxes(-1, -2), gh, vh.shape)
+            v._accumulate(_concat_heads(grad_vh), own=True)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        grad_s = _gemm(gh, vh.swapaxes(-1, -2), probs.shape)
+        if keep is not None:
+            grad_s *= keep
+        # softmax backward, dS = P ⊙ (dP − rowsum(dP ⊙ P)), then the scale
+        grad_s *= probs
+        grad_s -= _ew(np.multiply, probs, grad_s.sum(axis=-1, keepdims=True))
+        grad_s *= dt.type(scale)
+        if q.requires_grad:
+            q._accumulate(_concat_heads(_gemm(grad_s, kh, qh.shape)), own=True)
+        if k.requires_grad:
+            grad_kt = _gemm(qh.swapaxes(-1, -2), grad_s, qh.shape[:-2] + (head_dim, kh.shape[-2]))
+            k._accumulate(_concat_heads(grad_kt, heads_last=True), own=True)
+
+    out._backward = _backward
+    _plan.tag(out, "attention")
     return out

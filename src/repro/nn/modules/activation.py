@@ -1,7 +1,8 @@
-"""Activation modules (thin wrappers around Tensor methods)."""
+"""Activation modules (thin wrappers around Tensor methods and functional ops)."""
 
 from __future__ import annotations
 
+from repro.nn import functional as F
 from repro.nn.modules.base import Module
 from repro.nn.tensor import Tensor
 
@@ -36,8 +37,7 @@ class GELU(Module):
     """Gaussian error linear unit (tanh approximation, as used by BERT)."""
 
     def forward(self, x: Tensor) -> Tensor:
-        inner = (x + x * x * x * 0.044715) * 0.7978845608028654  # sqrt(2/pi)
-        return x * 0.5 * (inner.tanh() + 1.0)
+        return F.gelu(x)
 
 
 class Softmax(Module):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn import functional as F
 from repro.nn.modules.base import Module
 from repro.nn.modules.dropout import Dropout
 from repro.nn.modules.linear import Linear
@@ -40,28 +41,16 @@ class MultiHeadSelfAttention(Module):
         self.k_proj = Linear(embed_dim, embed_dim, rng=rng)
         self.v_proj = Linear(embed_dim, embed_dim, rng=rng)
         self.out_proj = Linear(embed_dim, embed_dim, rng=rng)
+        #: holds the attention-dropout probability and RNG stream(s)
         self.dropout = Dropout(dropout, rng=rng)
-
-    def _split_heads(self, x: Tensor) -> Tensor:
-        if x.seed_dim is not None:
-            s, n, t, _ = x.shape
-            return x.reshape(s, n, t, self.num_heads, self.head_dim).transpose(0, 1, 3, 2, 4)
-        n, t, _ = x.shape
-        return x.reshape(n, t, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
-
-    def _merge_heads(self, x: Tensor) -> Tensor:
-        if x.seed_dim is not None:
-            s, n, h, t, d = x.shape
-            return x.transpose(0, 1, 3, 2, 4).reshape(s, n, t, h * d)
-        n, h, t, d = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(n, t, h * d)
 
     def forward(self, x: Tensor, attention_mask: np.ndarray | None = None) -> Tensor:
         """Attend over sequence ``x`` of shape (N, T, D) — (S, N, T, D) seed-batched.
 
         ``attention_mask`` is an optional (N, T) array with 1 for real tokens
         and 0 for padding ((S, N, T) for seed-batched input); padded keys are
-        masked out of the softmax.
+        masked out of the softmax.  Everything between the projections is one
+        graph node, :func:`repro.nn.functional.attention`.
         """
         batched = x.seed_dim is not None
         if x.ndim != (4 if batched else 3):
@@ -69,25 +58,19 @@ class MultiHeadSelfAttention(Module):
                 f"attention expects {'(S, N, T, D)' if batched else '(N, T, D)'} input, "
                 f"got shape {x.shape}"
             )
-        q = self._split_heads(self.q_proj(x))
-        k = self._split_heads(self.k_proj(x))
-        v = self._split_heads(self.v_proj(x))
-
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = (q @ k.swapaxes(-1, -2)) * scale  # (..., H, T, T)
-        if attention_mask is not None:
-            mask = np.asarray(attention_mask, dtype=scores.data.dtype)
-            expected = x.shape[:-1]
-            if mask.shape != expected:
-                raise ValueError(
-                    f"attention_mask shape {mask.shape} does not match {expected}"
-                )
-            bias = (1.0 - mask)[..., None, None, :] * -1e9  # (..., 1, 1, T)
-            scores = scores + Tensor(bias, dtype=scores.data.dtype)
-        weights = scores.softmax(axis=-1)
-        weights = self.dropout(weights)
-        attended = weights @ v  # (..., H, T, head_dim)
-        return self.out_proj(self._merge_heads(attended))
+        drop = self.dropout
+        attended = F.attention(
+            self.q_proj(x),
+            self.k_proj(x),
+            self.v_proj(x),
+            self.num_heads,
+            attention_mask=attention_mask,
+            dropout_p=drop.p,
+            rng=drop.rng,
+            training=drop.training,
+            rngs=drop.rngs if batched else None,
+        )
+        return self.out_proj(attended)
 
 
 class TransformerEncoderLayer(Module):

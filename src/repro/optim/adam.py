@@ -7,7 +7,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.nn.modules.base import Parameter
-from repro.optim.optimizer import Optimizer, ParamGroup, decayed_grad_, ema_sq_update_, ema_update_
+from repro.optim.optimizer import (
+    Optimizer,
+    ParamGroup,
+    _Run,
+    decayed_grad_,
+    ema_sq_update_,
+    ema_update_,
+)
 
 __all__ = ["Adam", "AdamW"]
 
@@ -36,8 +43,11 @@ class Adam(Optimizer):
         defaults = {"lr": lr, "betas": tuple(betas), "eps": eps, "weight_decay": weight_decay}
         super().__init__(params, defaults)
 
-    def _update_parameter(self, p: Parameter, group: ParamGroup, decoupled: bool) -> None:
-        """Fused in-place Adam step.
+    #: decoupled weight decay (AdamW) instead of the L2 penalty
+    decoupled = False
+
+    def _update(self, group: ParamGroup, run: _Run) -> None:
+        """Fused in-place Adam step over one run of parameters.
 
         The moment buffers are mutated in place and all intermediates are
         staged through one scratch array, so the steady-state step allocates
@@ -45,31 +55,26 @@ class Adam(Optimizer):
         ``p -= lr * m_hat / (sqrt(v_hat) + eps)``; the bias corrections are
         folded into the step size and the denominator.
         """
-        grad = p.grad
-        if grad is None:
-            return
         lr = group["lr"]
         beta1, beta2 = group["betas"]
         eps = group["eps"]
         weight_decay = group["weight_decay"]
-        scratch = self.scratch_for(p, "step")
+        param, grad = run.data, run.grad
+        scratch = run.scratch("step")
 
-        if decoupled and weight_decay:
+        if self.decoupled and weight_decay:
             # decoupled decay: p <- p - lr * wd * p, independent of the moments
-            np.multiply(p.data, lr * weight_decay, out=scratch)
-            p.data -= scratch
-        elif not decoupled:
-            grad = decayed_grad_(grad, p.data, weight_decay, self.scratch_for(p, "grad"))
+            np.multiply(param, lr * weight_decay, out=scratch)
+            param -= scratch
+        elif not self.decoupled:
+            grad = decayed_grad_(grad, param, weight_decay, run.scratch("grad"))
 
-        state = self.state_for(p)
-        if "step" not in state:
-            state["step"] = 0
-            state["exp_avg"] = np.zeros_like(p.data)
-            state["exp_avg_sq"] = np.zeros_like(p.data)
-        state["step"] += 1
-        t = state["step"]
-        exp_avg = state["exp_avg"]
-        exp_avg_sq = state["exp_avg_sq"]
+        # the run shares one step count (see Optimizer.step)
+        t = run.entries[0].get("step", 0) + 1
+        for entry in run.entries:
+            entry["step"] = t
+        exp_avg = run.state("exp_avg")
+        exp_avg_sq = run.state("exp_avg_sq")
         ema_update_(exp_avg, grad, beta1, 1.0 - beta1, scratch)
         ema_sq_update_(exp_avg_sq, grad, beta2, 1.0 - beta2, scratch)
 
@@ -82,12 +87,7 @@ class Adam(Optimizer):
         # update = (lr / bc1) * exp_avg / denom
         np.divide(exp_avg, scratch, out=scratch)
         scratch *= lr / bias_correction1
-        p.data -= scratch
-
-    def step(self) -> None:
-        for group in self.param_groups:
-            for p in group["params"]:
-                self._update_parameter(p, group, decoupled=False)
+        param -= scratch
 
 
 class AdamW(Adam):
@@ -96,6 +96,8 @@ class AdamW(Adam):
     This is the optimizer HuggingFace uses for BERT fine-tuning, which the
     paper's GLUE setting follows.
     """
+
+    decoupled = True
 
     def __init__(
         self,
@@ -106,8 +108,3 @@ class AdamW(Adam):
         weight_decay: float = 0.01,
     ) -> None:
         super().__init__(params, lr=lr, betas=betas, eps=eps, weight_decay=weight_decay)
-
-    def step(self) -> None:
-        for group in self.param_groups:
-            for p in group["params"]:
-                self._update_parameter(p, group, decoupled=True)

@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.nn.modules.base import Parameter
-from repro.optim.optimizer import Optimizer, ParamGroup, decayed_grad_, ema_sq_update_
+from repro.optim.optimizer import Optimizer, ParamGroup, _Run, decayed_grad_, ema_sq_update_
 
 __all__ = ["RMSprop", "AdaGrad"]
 
@@ -37,36 +37,30 @@ class RMSprop(Optimizer):
         }
         super().__init__(params, defaults)
 
-    def step(self) -> None:
+    def _update(self, group: ParamGroup, run: _Run) -> None:
         """Fused in-place update: square-average and momentum buffers are mutated."""
-        for group in self.param_groups:
-            lr, alpha, eps = group["lr"], group["alpha"], group["eps"]
-            momentum, weight_decay = group["momentum"], group["weight_decay"]
-            for p in group["params"]:
-                if p.grad is None:
-                    continue
-                scratch = self.scratch_for(p, "step")
-                grad = decayed_grad_(p.grad, p.data, weight_decay, self.scratch_for(p, "grad"))
-                state = self.state_for(p)
-                sq = state.get("square_avg")
-                if sq is None:
-                    sq = state["square_avg"] = np.zeros_like(p.data)
-                ema_sq_update_(sq, grad, alpha, 1.0 - alpha, scratch)
-                # step = grad / (sqrt(sq) + eps), staged in scratch
-                np.sqrt(sq, out=scratch)
-                scratch += eps
-                np.divide(grad, scratch, out=scratch)
-                if momentum:
-                    buf = state.get("momentum_buffer")
-                    if buf is None:
-                        buf = state["momentum_buffer"] = scratch.copy()
-                    else:
-                        buf *= momentum
-                        buf += scratch
-                    np.multiply(buf, lr, out=scratch)
-                else:
-                    scratch *= lr
-                p.data -= scratch
+        lr, alpha, eps = group["lr"], group["alpha"], group["eps"]
+        momentum = group["momentum"]
+        scratch = run.scratch("step")
+        grad = decayed_grad_(run.grad, run.data, group["weight_decay"], run.scratch("grad"))
+        sq = run.state("square_avg")
+        ema_sq_update_(sq, grad, alpha, 1.0 - alpha, scratch)
+        # step = grad / (sqrt(sq) + eps), staged in scratch
+        np.sqrt(sq, out=scratch)
+        scratch += eps
+        np.divide(grad, scratch, out=scratch)
+        if momentum:
+            fresh = run.is_fresh("momentum_buffer")
+            buf = run.state("momentum_buffer")
+            if fresh:
+                np.copyto(buf, scratch)
+            else:
+                buf *= momentum
+                buf += scratch
+            np.multiply(buf, lr, out=scratch)
+        else:
+            scratch *= lr
+        run.data -= scratch
 
 
 class AdaGrad(Optimizer):
@@ -84,24 +78,17 @@ class AdaGrad(Optimizer):
         defaults = {"lr": lr, "eps": eps, "weight_decay": weight_decay}
         super().__init__(params, defaults)
 
-    def step(self) -> None:
+    def _update(self, group: ParamGroup, run: _Run) -> None:
         """Fused in-place update: the squared-gradient accumulator is mutated."""
-        for group in self.param_groups:
-            lr, eps, weight_decay = group["lr"], group["eps"], group["weight_decay"]
-            for p in group["params"]:
-                if p.grad is None:
-                    continue
-                scratch = self.scratch_for(p, "step")
-                grad = decayed_grad_(p.grad, p.data, weight_decay, self.scratch_for(p, "grad"))
-                state = self.state_for(p)
-                acc = state.get("sum_sq")
-                if acc is None:
-                    acc = state["sum_sq"] = np.zeros_like(p.data)
-                np.multiply(grad, grad, out=scratch)
-                acc += scratch
-                # update = lr * grad / (sqrt(acc) + eps), staged in scratch
-                np.sqrt(acc, out=scratch)
-                scratch += eps
-                np.divide(grad, scratch, out=scratch)
-                scratch *= lr
-                p.data -= scratch
+        lr, eps = group["lr"], group["eps"]
+        scratch = run.scratch("step")
+        grad = decayed_grad_(run.grad, run.data, group["weight_decay"], run.scratch("grad"))
+        acc = run.state("sum_sq")
+        np.multiply(grad, grad, out=scratch)
+        acc += scratch
+        # update = lr * grad / (sqrt(acc) + eps), staged in scratch
+        np.sqrt(acc, out=scratch)
+        scratch += eps
+        np.divide(grad, scratch, out=scratch)
+        scratch *= lr
+        run.data -= scratch

@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.nn.modules.base import Parameter
-from repro.optim.optimizer import Optimizer, ParamGroup, decayed_grad_, ema_update_
+from repro.optim.optimizer import Optimizer, ParamGroup, _Run, decayed_grad_, ema_update_
 
 __all__ = ["SGD"]
 
@@ -47,37 +47,30 @@ class SGD(Optimizer):
         }
         super().__init__(params, defaults)
 
-    def step(self) -> None:
+    def _update(self, group: ParamGroup, run: _Run) -> None:
         """Fused in-place update: the momentum buffer is mutated, never rebound.
 
-        All intermediates are staged through per-parameter scratch buffers, so
-        the steady-state step allocates nothing.
+        All intermediates are staged through scratch buffers, so the
+        steady-state step allocates nothing.
         """
-        for group in self.param_groups:
-            lr = group["lr"]
-            momentum = group["momentum"]
-            weight_decay = group["weight_decay"]
-            nesterov = group["nesterov"]
-            dampening = group["dampening"]
-            for p in group["params"]:
-                if p.grad is None:
-                    continue
-                step_buf = self.scratch_for(p, "step")
-                grad = decayed_grad_(p.grad, p.data, weight_decay, self.scratch_for(p, "grad"))
-                if momentum:
-                    state = self.state_for(p)
-                    buf = state.get("momentum_buffer")
-                    if buf is None:
-                        buf = state["momentum_buffer"] = np.array(grad, copy=True)
-                    else:
-                        ema_update_(buf, grad, momentum, 1.0 - dampening, step_buf)
-                    if nesterov:
-                        # update = grad + momentum * buf
-                        np.multiply(buf, momentum, out=step_buf)
-                        step_buf += grad
-                        step_buf *= lr
-                    else:
-                        np.multiply(buf, lr, out=step_buf)
-                else:
-                    np.multiply(grad, lr, out=step_buf)
-                p.data -= step_buf
+        lr = group["lr"]
+        momentum = group["momentum"]
+        step_buf = run.scratch("step")
+        grad = decayed_grad_(run.grad, run.data, group["weight_decay"], run.scratch("grad"))
+        if momentum:
+            fresh = run.is_fresh("momentum_buffer")
+            buf = run.state("momentum_buffer")
+            if fresh:
+                np.copyto(buf, grad)
+            else:
+                ema_update_(buf, grad, momentum, 1.0 - group["dampening"], step_buf)
+            if group["nesterov"]:
+                # update = grad + momentum * buf
+                np.multiply(buf, momentum, out=step_buf)
+                step_buf += grad
+                step_buf *= lr
+            else:
+                np.multiply(buf, lr, out=step_buf)
+        else:
+            np.multiply(grad, lr, out=step_buf)
+        run.data -= step_buf

@@ -12,7 +12,8 @@ The tentpole invariants:
 * emulated-dtype cells fingerprint distinctly, and bumping
   FINGERPRINT_VERSION (3 for the dtype axis, 4 for the fused normalization
   numerics, 5 for the batch-innermost convolution and the one-node
-  detection loss) invalidates every pre-existing cache entry.
+  detection loss, 6 for the fused transformer nodes) invalidates every
+  pre-existing cache entry.
 
 Regenerate the golden trajectory (after an *intentional* change) with::
 
@@ -149,11 +150,14 @@ class TestMasterWeights:
     def test_param_data_identity_preserved(self):
         with default_dtype("bfloat16"):
             p = nn.Parameter(np.ones(3, dtype=np.float32))
+        # building the optimizer moves p.data into its flat storage (a view);
+        # from then on restore/step/store must keep that array's identity
+        opt = SGD([p], lr=0.5)
         buf = p.data
         masters = MasterWeights([p], BFLOAT16)
         p.grad = np.full(3, 0.25, dtype=np.float32)
         masters.restore_()
-        SGD([p], lr=0.5).step()
+        opt.step()
         masters.store_()
         assert p.data is buf  # plans/scratch alias this array by identity
 
@@ -379,8 +383,8 @@ class TestCacheInvalidation:
         config = RunConfig(
             setting="RN20-CIFAR10", schedule="rex", optimizer="sgdm", budget_fraction=0.25
         )
-        assert FINGERPRINT_VERSION == 5
-        assert fingerprint_payload(config)["version"] == 5
+        assert FINGERPRINT_VERSION == 6
+        assert fingerprint_payload(config)["version"] == 6
 
     def test_version_bump_invalidates_prior_entries(self, monkeypatch):
         # a pre-v3 cache entry must never be returned for a v3 config: the

@@ -262,3 +262,164 @@ def test_state_dict_cast_to_param_dtype_on_load():
     opt32 = SGD([p32], lr=0.1, momentum=0.9)
     opt32.load_state_dict(opt64.state_dict())
     assert opt32.state_for(p32)["momentum_buffer"].dtype == np.float32
+
+
+# ---------------------------------------------------------------------------
+# flat storage: one fused update per contiguous run of parameters
+# ---------------------------------------------------------------------------
+
+FLAT_CASES = [
+    (SGD, dict(lr=0.1)),
+    (SGD, dict(lr=0.1, momentum=0.9)),
+    (SGD, dict(lr=0.1, momentum=0.9, nesterov=True, weight_decay=0.05)),
+    (SGD, dict(lr=0.1, momentum=0.9, dampening=0.3, weight_decay=0.05)),
+    (Adam, dict(lr=0.01, weight_decay=0.1)),
+    (AdamW, dict(lr=0.01, weight_decay=0.1)),
+    (RMSprop, dict(lr=0.01, momentum=0.9, weight_decay=0.05)),
+    (RMSprop, dict(lr=0.01)),
+    (AdaGrad, dict(lr=0.5, weight_decay=0.05)),
+]
+FLAT_IDS = [f"{cls.__name__}-{'-'.join(kw)}" for cls, kw in FLAT_CASES]
+SHAPES = [(4, 3), (5,), (2, 3, 2), (1,), (3, 3)]
+
+
+def _flat_vs_per_parameter(cls, kwargs, dtype, skip=lambda step, i: False, steps=12):
+    """Train the same parameters with one optimizer and with one optimizer per parameter.
+
+    ``skip(step, i)`` withholds parameter ``i``'s gradient at ``step``.  The
+    per-parameter optimizers are the reference loop: each updates one
+    parameter alone.  Returns both parameter lists and optimizers.
+    """
+    rng = np.random.default_rng(0)
+    starts = [rng.standard_normal(s) for s in SHAPES]
+    grads = [[rng.standard_normal(s) for s in SHAPES] for _ in range(steps)]
+    with default_dtype(dtype):
+        flat = [Parameter(a.copy()) for a in starts]
+        alone = [Parameter(a.copy()) for a in starts]
+    flat_opt = cls(flat, **kwargs)
+    alone_opts = [cls([p], **kwargs) for p in alone]
+    for step, step_grads in enumerate(grads):
+        for i, g in enumerate(step_grads):
+            g = None if skip(step, i) else g.astype(flat[i].data.dtype)
+            flat[i].grad = g
+            alone[i].grad = None if g is None else g.copy()
+        flat_opt.step()
+        for i, opt in enumerate(alone_opts):
+            if alone[i].grad is not None:
+                opt.step()
+    return flat, alone, flat_opt, alone_opts
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("cls, kwargs", FLAT_CASES, ids=FLAT_IDS)
+def test_flat_step_bitwise_equals_per_parameter_loop(cls, kwargs, dtype):
+    flat, alone, flat_opt, alone_opts = _flat_vs_per_parameter(cls, kwargs, dtype)
+    for p, q in zip(flat, alone):
+        np.testing.assert_array_equal(p.data, q.data)
+    for p, q, opt in zip(flat, alone, alone_opts):
+        mine, ref = flat_opt.state_for(p), opt.state_for(q)
+        assert mine.keys() == ref.keys()
+        for key in ref:
+            np.testing.assert_array_equal(mine[key], ref[key])
+
+
+@pytest.mark.parametrize("cls, kwargs", FLAT_CASES, ids=FLAT_IDS)
+def test_missing_gradients_keep_moments_and_step_count(cls, kwargs):
+    # parameter 1 has no gradient on steps 2-5 and parameter 3 none before
+    # step 4 (it joins late, so its step count lags the others'), which
+    # splits the flat buffer into several runs on those steps
+    def skip(step, i):
+        return (i == 1 and 2 <= step <= 5) or (i == 3 and step < 4)
+
+    flat, alone, flat_opt, alone_opts = _flat_vs_per_parameter(cls, kwargs, "float64", skip)
+    for p, q in zip(flat, alone):
+        np.testing.assert_array_equal(p.data, q.data)
+    if cls in (Adam, AdamW):
+        steps = [flat_opt.state_for(p)["step"] for p in flat]
+        assert steps == [12, 8, 12, 8, 12]
+
+
+def test_parameters_and_state_are_views_of_flat_buffers():
+    params = [Parameter(np.ones(s)) for s in SHAPES]
+    opt = Adam(params, lr=0.1)
+    for p in params:
+        p.grad = np.ones(p.shape)
+    opt.step()
+    base = params[0].data.base
+    assert base is not None and all(p.data.base is base for p in params)
+    moments = [opt.state_for(p)["exp_avg"] for p in params]
+    assert moments[0].base is not None and all(m.base is moments[0].base for m in moments)
+
+
+@pytest.mark.parametrize("cls, kwargs", FLAT_CASES, ids=FLAT_IDS)
+def test_state_dict_round_trips(cls, kwargs):
+    flat, _, flat_opt, _ = _flat_vs_per_parameter(cls, kwargs, "float64")
+    saved = flat_opt.state_dict()
+    twins = [Parameter(p.data.copy()) for p in flat]
+    twin_opt = cls(twins, **kwargs)
+    twin_opt.load_state_dict(saved)
+    again = twin_opt.state_dict()
+    assert [sorted(e) for e in again["state"]] == [sorted(e) for e in saved["state"]]
+    for mine, ref in zip(again["state"], saved["state"]):
+        for key in ref:
+            np.testing.assert_array_equal(mine[key], ref[key])
+    # the restored optimizer continues exactly like the original
+    rng = np.random.default_rng(5)
+    for p, q in zip(flat, twins):
+        p.grad = rng.standard_normal(p.shape)
+        q.grad = p.grad.copy()
+    flat_opt.step()
+    twin_opt.step()
+    for p, q in zip(flat, twins):
+        np.testing.assert_array_equal(p.data, q.data)
+
+
+def test_load_state_dict_keeps_views_and_trains_loaded_values():
+    from repro import nn
+
+    with default_dtype("float64"):
+        model = nn.Linear(3, 2, rng=np.random.default_rng(0))
+        donor = nn.Linear(3, 2, rng=np.random.default_rng(1))
+    opt = AdamW(model.parameters(), lr=0.1)
+    views = [p.data for p in model.parameters()]
+    # both kinds of load after the optimizer exists copy into the views
+    model.load_state_dict(donor.state_dict())
+    donor_opt = AdamW(donor.parameters(), lr=0.1)
+    for p in donor.parameters():
+        p.grad = np.ones(p.shape)
+    donor_opt.step()
+    opt.load_state_dict(donor_opt.state_dict())
+    model.load_state_dict(donor.state_dict())
+    assert all(p.data is v for p, v in zip(model.parameters(), views))
+    for p, q in zip(model.parameters(), donor.parameters()):
+        p.grad = np.full(p.shape, 0.5)
+        q.grad = np.full(q.shape, 0.5)
+    opt.step()
+    donor_opt.step()
+    for p, q in zip(model.parameters(), donor.parameters()):
+        np.testing.assert_array_equal(p.data, q.data)
+
+
+def test_rebound_parameter_data_is_reflattened():
+    p, q = Parameter(np.zeros(3)), Parameter(np.zeros(2))
+    opt = SGD([p, q], lr=1.0, momentum=0.5)
+    p.grad, q.grad = np.ones(3), np.ones(2)
+    opt.step()
+    p.data = np.full(3, 10.0)  # rebinding, e.g. a model restacked for seed batching
+    opt.step()
+    np.testing.assert_array_equal(p.data, np.full(3, 10.0 - 1.5))
+    np.testing.assert_array_equal(q.data, np.full(2, -2.5))
+
+
+def test_mixed_dtype_group_keeps_each_parameter_dtype():
+    with default_dtype("float64"):
+        p64 = Parameter(np.ones(3))
+    with default_dtype("float32"):
+        p32 = Parameter(np.ones(2))
+    opt = Adam([p64, p32], lr=0.1)
+    p64.grad, p32.grad = np.ones(3), np.ones(2, dtype=np.float32)
+    opt.step()
+    assert p64.data.dtype == np.float64 and p32.data.dtype == np.float32
+    assert opt.state_for(p32)["exp_avg"].dtype == np.float32
+    np.testing.assert_allclose(p64.data, 0.9)
+    np.testing.assert_allclose(p32.data, 0.9, rtol=1e-6)

@@ -79,6 +79,27 @@ def test_planned_trajectory_bitwise_equals_unplanned(name, dtype):
     assert plan.topo_replays == STEPS - 1
 
 
+@pytest.mark.parametrize("name", ["mlp", "transformer"])
+def test_second_fresh_plan_replays_bitwise(name):
+    """A plan built after another in the same process still replays bitwise.
+
+    Generations are process-global and parameters carry plan stamps from
+    earlier plans, so nothing the first plan left behind may leak into the
+    second one's capture or replay.
+    """
+    plain_losses, plain_state, _ = _train(name, "float64", planned=False)
+    plans = []
+    for _ in range(2):
+        plan_losses, plan_state, plan = _train(name, "float64", planned=True)
+        plans.append(plan)
+        for step, (a, b) in enumerate(zip(plan_losses, plain_losses)):
+            _assert_bitwise(a, b, f"{name} plan {len(plans)} loss at step {step}")
+        for key in plain_state:
+            _assert_bitwise(plan_state[key], plain_state[key], f"{name} plan {len(plans)} {key}")
+        assert plan.diverged_steps == 0 and plan.topo_replays == STEPS - 1
+    assert plans[0].generation < plans[1].generation
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_steady_state_stops_allocating(dtype):
     _, _, plan = _train("mlp", dtype, planned=True, steps=6)
